@@ -113,6 +113,19 @@ fn unwrap_rule_skips_test_regions() {
 }
 
 #[test]
+fn snapshot_rule_catches_the_split_fetch_and_the_float_forward() {
+    let report = run_fixture("worker-snapshot-only");
+    let rule = report.rule("worker-snapshot-only").expect("rule exists");
+    let tokens: Vec<&str> = rule.violations.iter().map(|v| v.token.as_str()).collect();
+    assert_eq!(
+        tokens,
+        ["read_layer_into(", "fetch_into(", "forward_float("],
+        "got: {:#?}",
+        rule.violations
+    );
+}
+
+#[test]
 fn the_real_workspace_is_clean() {
     let root = manifest_dir()
         .parent()

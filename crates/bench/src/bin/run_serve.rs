@@ -2,15 +2,14 @@
 //! attack under scrub only / protection off) of deterministic seeded traffic against
 //! the prepared model, through the `radar-serve` engine. Writes the per-scenario table
 //! to `artifacts/results/serve.txt` and the machine-readable
-//! `artifacts/results/BENCH_serve.json`.
+//! `artifacts/results/BENCH_serve.json`. Every scenario runs the engine's single
+//! serving path: one fused fetch-and-verify snapshot per batch, consumed by the
+//! integer forward.
 //!
 //! `--smoke` selects the CI-sized timeline (96 requests, window 16). `--trace`
 //! additionally replays one fully-instrumented scenario (strike + rotation armed,
 //! `ObsLevel::Full`) and writes the validated Chrome `trace_event` export to
 //! `artifacts/results/TRACE_serve.json` (loadable at <https://ui.perfetto.dev>).
-//! `--equivalence` runs the snapshot-vs-per-worker gate: the `attack_inpath`
-//! scenario replayed under both `FetchMode`s on the same seed must produce
-//! byte-identical logical journals, and the shared-snapshot p50 must be no worse.
 //! Environment knobs on top of the usual
 //! [`Budget`](radar_bench::harness::Budget) variables:
 //!
@@ -26,7 +25,6 @@ use radar_bench::serving::{self, ServeBenchParams};
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let trace = std::env::args().any(|a| a == "--trace");
-    let equivalence = std::env::args().any(|a| a == "--equivalence");
     let budget = Budget::from_env();
     let kind = match std::env::var("RADAR_SERVE_MODEL").as_deref() {
         Ok("resnet18") => ModelKind::ResNet18Like,
@@ -50,8 +48,5 @@ fn main() {
     outcome.write_json();
     if trace {
         serving::trace(&mut prepared, &params);
-    }
-    if equivalence {
-        serving::equivalence_gate(&mut prepared, &params);
     }
 }

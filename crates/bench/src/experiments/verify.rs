@@ -53,8 +53,8 @@ fn legacy_detect(radar: &RadarProtection, model: &QuantizedModel) -> DetectionRe
 }
 
 /// The two-pass weight-fetch baseline: copy every layer out of DRAM, then run the
-/// streaming verify over the copy — what the serve engine's per-worker fetch mode
-/// pays per batch.
+/// streaming verify over the copy — what a batch paid before the serve engine
+/// fused the copy into the verify sweep.
 fn split_fetch_verify(
     radar: &RadarProtection,
     dram: &WeightDram,
@@ -113,7 +113,7 @@ struct Measurement {
     plan_seconds: f64,
     /// `(threads, seconds)` per measured parallel thread count.
     parallel_seconds: Vec<(usize, f64)>,
-    /// Full-model copy-then-verify from DRAM (the per-worker fetch baseline).
+    /// Full-model copy-then-verify from DRAM (the split-fetch baseline).
     split_fetch_seconds: f64,
     /// Full-model fused copy-and-verify from DRAM (the snapshot build kernel).
     fused_fetch_seconds: f64,

@@ -290,81 +290,6 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     path
 }
 
-/// The serve-smoke equivalence gate: runs the `attack_inpath` scenario twice on
-/// the same seeds — once through the default shared-snapshot fetch, once through
-/// the per-worker oracle path (`FetchMode::PerWorker`) — and asserts the contract
-/// CI gates on: the logical journals diff empty (byte-identical detection story)
-/// and the snapshot path's p50 latency is no worse, within a generous tolerance
-/// for shared-runner noise. Panics on violation, so `run_serve --equivalence`
-/// fails the job.
-pub fn equivalence_gate(prepared: &mut Prepared, params: &ServeBenchParams) {
-    let kind = prepared.kind;
-    let budget = prepared.budget;
-    let group_size = kind.table3_groups()[kind.table3_groups().len() / 2];
-
-    let signer = fresh_model(kind, budget);
-    let num_layers = signer.num_layers();
-    let base = ServeConfig {
-        strict_batching: true,
-        window: params.window,
-        scrub_layers: num_layers.div_ceil(5),
-        ..ServeConfig::default()
-    }
-    .from_env();
-
-    let total_batches = params.requests.div_ceil(base.max_batch);
-    let attack_at_batch = (total_batches / 3).clamp(
-        usize::from(total_batches > 1),
-        total_batches.saturating_sub(1),
-    );
-    let profile = attack_profile(prepared, budget.n_bits);
-    let schedule = TrafficSchedule::new(params.traffic_seed, params.requests);
-    let eval = prepared.eval_set();
-
-    let run_mode = |cfg: &ServeConfig| {
-        let models = radar_serve::replicas(cfg.workers, || fresh_model(kind, budget));
-        let protection = RadarProtection::new(&signer, RadarConfig::paper_default(group_size));
-        let dram = WeightDram::load(&signer, DramGeometry::default());
-        let timeline = AttackTimeline::new(vec![MountEvent {
-            at_batch: attack_at_batch,
-            injector: RowhammerInjector::default(),
-            profile: profile.clone(),
-            seed: 0xA77A_C000 + attack_at_batch as u64,
-        }]);
-        serve(
-            models,
-            Some(protection),
-            dram,
-            &eval,
-            &schedule,
-            timeline,
-            cfg,
-        )
-    };
-
-    let snapshot = run_mode(&base);
-    let per_worker = run_mode(&base.per_worker_fetch());
-
-    let diff = snapshot.obs.journal.diff(&per_worker.obs.journal);
-    assert!(
-        diff.is_empty(),
-        "snapshot vs per-worker journals diverge on the same seed:\n{diff:#?}"
-    );
-    let snap_p50 = snapshot.latency.quantile_ns(0.5) / 1e6;
-    let worker_p50 = per_worker.latency.quantile_ns(0.5) / 1e6;
-    // "No worse" with headroom: shared CI runners jitter, and the smoke timeline is
-    // short. A real regression (the snapshot path re-adding per-worker passes)
-    // shows up as a multiple, not a few percent.
-    assert!(
-        snap_p50 <= worker_p50 * 1.25 + 2.0,
-        "shared-snapshot p50 regressed vs per-worker fetch: {snap_p50:.2} ms vs {worker_p50:.2} ms"
-    );
-    eprintln!(
-        "[serve] equivalence gate: journal diff empty ({} events), p50 snapshot {snap_p50:.2} ms vs per-worker {worker_p50:.2} ms",
-        snapshot.obs.journal.len()
-    );
-}
-
 impl ServeBenchOutcome {
     /// Renders the serving campaign as a human-readable table.
     pub fn report(&self) -> Report {

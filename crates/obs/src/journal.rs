@@ -1,10 +1,8 @@
 //! The deterministic event journal: typed structured events keyed by **logical
 //! time** (batch number plus a logical track), never wall clock.
 //!
-//! Two same-seed runs must produce byte-identical journals, and the journal of a
-//! `QuantizedNative` run must equal the journal of its `FloatOracle` twin — that is
-//! only possible if nothing nondeterministic leaks into the compared fields. The
-//! rules:
+//! Two same-seed runs must produce byte-identical journals — that is only possible
+//! if nothing nondeterministic leaks into the compared fields. The rules:
 //!
 //! * the key is `(batch, track)` — the batcher's dispatched-batch count plus a
 //!   logical role. Tracks never carry worker ids: *which* worker thread serves a
@@ -308,7 +306,7 @@ impl EventJournal {
     /// Logical difference against another journal: the logical lines present in
     /// exactly one of the two, each prefixed with `-` (only in `self`) or `+` (only
     /// in `other`), in order. Empty means the journals are logically identical —
-    /// the replay-equality and `ExecPath`-equivalence tests assert on exactly this.
+    /// the replay-equality tests assert on exactly this.
     #[must_use]
     pub fn diff(&self, other: &EventJournal) -> Vec<String> {
         let mine: Vec<String> = self.events.iter().map(Event::logical_line).collect();

@@ -24,10 +24,9 @@
 //! key-mask vector ([`LayerPlan`]), so every run-time pass is one sequential sweep over
 //! the layer's weights in fetch order — no per-group gathers, no allocations.
 //! [`RadarProtection::verify_layer`] and [`RadarProtection::detect_layers`] expose the
-//! incremental, fetch-path granularity, and [`RadarProtection::detect_parallel`] /
-//! [`RadarProtection::verify_and_recover_parallel`] shard the sweep across scoped
-//! worker threads (contiguous, weight-balanced layer ranges; one accumulator scratch
-//! per worker) for multi-core hosts.
+//! incremental, fetch-path granularity, and [`RadarProtection::detect_parallel`]
+//! shards the sweep across scoped worker threads (contiguous, weight-balanced layer
+//! ranges; one accumulator scratch per worker) for multi-core hosts.
 //!
 //! [`ProtectedModel`] embeds the whole flow into the inference path.
 //!

@@ -127,7 +127,7 @@ struct PendingEpoch {
 ///    epoch *first*, or corruption would be blessed into the new golden store;
 /// 3. [`publish_epoch`](Self::publish_epoch) makes the pending epoch current and
 ///    retains the old epoch as `previous`, so verification pinned to the old
-///    epoch ([`verify_layer_values_at_epoch`](Self::verify_layer_values_at_epoch))
+///    epoch ([`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch))
 ///    keeps working during the hand-over;
 /// 4. [`retire_previous`](Self::retire_previous) drops the old epoch once no
 ///    in-flight work can still be pinned to it.
@@ -716,28 +716,11 @@ impl RadarProtection {
     /// epoch — the serving path's epoch-aware check: a worker pins the epoch it saw
     /// when its fetch ticket came up, and a rotation publish landing between pin and
     /// verify must not strand it (the pinned epoch is then `previous` and still
-    /// accepted).
+    /// accepted). `acc` is caller-owned accumulator scratch, so the check is
+    /// allocation-free after warm-up, like every other fetch-path check.
     ///
     /// An `epoch` that is no longer retained falls back to the current state (see
     /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
-    pub fn verify_layer_values_at_epoch(
-        &self,
-        epoch: KeyEpoch,
-        layer: usize,
-        values: &[i8],
-    ) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.verify_layer_values_at_epoch_with_scratch(epoch, layer, values, &mut acc)
-    }
-
-    /// [`verify_layer_values_at_epoch`](Self::verify_layer_values_at_epoch) with a
-    /// caller-owned accumulator scratch — allocation-free after warm-up, like every
-    /// other fetch-path check.
     ///
     /// # Panics
     ///
@@ -769,7 +752,7 @@ impl RadarProtection {
     /// layer's raw DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the
     /// weight-fetch path does) while accumulating and checking the group
     /// signatures in the same sweep. This is the snapshot build path's kernel:
-    /// where the per-worker path paid a copy pass plus a
+    /// where a split fetch pays a copy pass plus a
     /// [`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch)
     /// pass, the build pays one.
     ///
@@ -910,23 +893,6 @@ impl RadarProtection {
         let recovery = self.recover(model, &report);
         (report, recovery)
     }
-
-    /// [`detect_and_recover`](Self::detect_and_recover) with the verification pass
-    /// sharded across `threads` workers via [`detect_parallel`](Self::detect_parallel);
-    /// recovery itself mutates the model and stays sequential.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`detect_parallel`](Self::detect_parallel).
-    pub fn verify_and_recover_parallel(
-        &mut self,
-        model: &mut QuantizedModel,
-        threads: usize,
-    ) -> (DetectionReport, RecoveryReport) {
-        let report = self.detect_parallel(model, threads);
-        let recovery = self.recover(model, &report);
-        (report, recovery)
-    }
 }
 
 #[cfg(test)]
@@ -937,6 +903,16 @@ mod tests {
 
     fn model() -> QuantizedModel {
         QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(4))))
+    }
+
+    /// The pinned-epoch check with a throwaway accumulator scratch.
+    fn verify_at(
+        radar: &RadarProtection,
+        epoch: KeyEpoch,
+        layer: usize,
+        values: &[i8],
+    ) -> DetectionReport {
+        radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, values, &mut Vec::new())
     }
 
     /// Drives a full key roll from the model's current weights — the offline
@@ -1253,7 +1229,8 @@ mod tests {
             b.flip_bit(layer, weight, MSB);
         }
         let (report_a, recovery_a) = radar_a.detect_and_recover(&mut a);
-        let (report_b, recovery_b) = radar_b.verify_and_recover_parallel(&mut b, 4);
+        let report_b = radar_b.detect_parallel(&b, 4);
+        let recovery_b = radar_b.recover(&mut b, &report_b);
         assert_eq!(report_a, report_b);
         assert_eq!(recovery_a, recovery_b);
         assert_eq!(a.snapshot(), b.snapshot());
@@ -1328,8 +1305,7 @@ mod tests {
         // after the previous epoch is retired.
         assert!(!radar.detect(&m).attack_detected());
         for layer in 0..m.num_layers() {
-            let pinned =
-                radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, layer, m.layer_values(layer));
+            let pinned = verify_at(&radar, KeyEpoch::ZERO, layer, m.layer_values(layer));
             assert!(!pinned.attack_detected(), "layer {layer} under epoch 0");
         }
         assert_eq!(radar.retire_previous(), Some(KeyEpoch::ZERO));
@@ -1357,8 +1333,8 @@ mod tests {
 
         m.flip_bit(2, 5, MSB);
         let group = radar.group_of(2, 5);
-        let current = radar.verify_layer_values_at_epoch(KeyEpoch::new(1), 2, m.layer_values(2));
-        let previous = radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, 2, m.layer_values(2));
+        let current = verify_at(&radar, KeyEpoch::new(1), 2, m.layer_values(2));
+        let previous = verify_at(&radar, KeyEpoch::ZERO, 2, m.layer_values(2));
         // An MSB flip moves the masked sum by ±128: S_B flips under *any* key,
         // so both epochs' verifiers must catch it during the acceptance window.
         assert!(current.contains(2, group), "missed under current epoch");
@@ -1373,7 +1349,7 @@ mod tests {
         assert!(!radar.accepts_epoch(KeyEpoch::new(7)));
         m.flip_bit(2, 5, MSB);
         // Pinning a never-published epoch must not skip verification.
-        let report = radar.verify_layer_values_at_epoch(KeyEpoch::new(7), 2, m.layer_values(2));
+        let report = verify_at(&radar, KeyEpoch::new(7), 2, m.layer_values(2));
         assert!(report.attack_detected());
     }
 
@@ -1398,7 +1374,7 @@ mod tests {
         // The pending store was refreshed during recovery, so the published
         // epoch accepts the recovered image — and so does the previous one.
         assert!(!radar.detect(&m).attack_detected());
-        let previous = radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, 2, m.layer_values(2));
+        let previous = verify_at(&radar, KeyEpoch::ZERO, 2, m.layer_values(2));
         assert!(!previous.attack_detected());
     }
 

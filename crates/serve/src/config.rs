@@ -2,41 +2,6 @@ use std::time::Duration;
 
 use radar_obs::{ObsConfig, ObsLevel};
 
-/// Which execution path workers run inference on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// Run forward straight off the fetched `i8` bytes: each worker keeps the
-    /// fetched layers in a reusable arena and the true integer GEMM consumes them
-    /// directly — i8×i8 products accumulated in `i32`, scales applied in the
-    /// requantization epilogue, optionally threaded via `RADAR_GEMM_THREADS` — no
-    /// float weight tensor, no model write-back.
-    #[default]
-    QuantizedNative,
-    /// The pre-quantized-native pipeline: fetched bytes are written back into the
-    /// worker's `QuantizedModel`, dequantized into its float shadow, and the float
-    /// forward runs. Kept as the equivalence oracle — the logical telemetry of a
-    /// seeded run must be identical across both paths.
-    FloatOracle,
-}
-
-/// How a batch's verified weights reach its worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FetchMode {
-    /// One fused fetch-and-verify pass per batch builds a shared, epoch-pinned
-    /// `VerifiedSnapshot` (bytes copied out of DRAM *while* the ±1 mask
-    /// scatter-adds into the signature accumulators), published as an `Arc` for
-    /// every consumer of the batch. Workers execute `forward_with_values` against
-    /// the shared `&[i8]` slices; recovery refreshes happen in the build path
-    /// before publish.
-    #[default]
-    SharedSnapshot,
-    /// The pre-snapshot pipeline: the batch's worker copies every layer into its
-    /// private arena and verifies it in a second pass. Kept as the equivalence
-    /// baseline — the logical telemetry of a seeded run must be identical across
-    /// both modes (CI gates on the journal diff).
-    PerWorker,
-}
-
 /// Configuration of one serving run.
 ///
 /// Environment knobs (applied by [`from_env`](Self::from_env)):
@@ -79,10 +44,6 @@ pub struct ServeConfig {
     pub rotate_every: usize,
     /// Served-accuracy window size, in requests.
     pub window: usize,
-    /// Which execution path workers run inference on (quantized-native by default).
-    pub exec: ExecPath,
-    /// How a batch's verified weights reach its worker (shared snapshot by default).
-    pub fetch: FetchMode,
     /// Observability configuration: recording level (`Off | Counters | Full`) and
     /// journal capacity. The journal and the `BENCH_serve.json`-contract metrics
     /// record at every level; `Full` additionally records profiling spans for the
@@ -103,8 +64,6 @@ impl Default for ServeConfig {
             scrub_layers: 4,
             rotate_every: 0,
             window: 64,
-            exec: ExecPath::QuantizedNative,
-            fetch: FetchMode::SharedSnapshot,
             obs: ObsConfig::default(),
         }
     }
@@ -150,22 +109,6 @@ impl ServeConfig {
         self
     }
 
-    /// The per-worker-fetch variant: each batch's worker copies and verifies the
-    /// model into its private arena instead of consuming the shared snapshot. The
-    /// equivalence baseline for [`FetchMode::SharedSnapshot`].
-    pub fn per_worker_fetch(mut self) -> Self {
-        self.fetch = FetchMode::PerWorker;
-        self
-    }
-
-    /// The float-oracle variant: workers run the pre-quantized-native pipeline
-    /// (fetch → model write-back → dequantize-everything → float forward). Used by
-    /// the equivalence tests and the `bench_infer` baseline.
-    pub fn float_oracle(mut self) -> Self {
-        self.exec = ExecPath::FloatOracle;
-        self
-    }
-
     /// Panics unless the configuration is runnable (non-zero workers, batch size and
     /// window; a non-empty queue).
     pub fn validate(&self) {
@@ -188,8 +131,6 @@ mod tests {
         assert!(cfg.scrub_every > 0);
         assert_eq!(cfg.obs.level, ObsLevel::Counters);
         assert_eq!(cfg.with_obs(ObsLevel::Full).obs.level, ObsLevel::Full);
-        assert_eq!(cfg.fetch, FetchMode::SharedSnapshot);
-        assert_eq!(cfg.per_worker_fetch().fetch, FetchMode::PerWorker);
     }
 
     #[test]

@@ -2,19 +2,16 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
-use radar_core::{DetectionReport, KeyEpoch, RadarProtection};
+use radar_core::{KeyEpoch, RadarProtection};
 use radar_data::Dataset;
 use radar_memsim::{AttackTimeline, WeightDram};
 use radar_nn::argmax_rows;
 use radar_obs::{set_global_level, EventKind, Labels, Stopwatch, Tid, Track};
 use radar_quant::QuantizedModel;
 
-use crate::config::{ExecPath, FetchMode, ServeConfig};
+use crate::config::ServeConfig;
 use crate::recovery::recover_in_dram;
-use crate::steps::{
-    build_snapshot, fetch_arena_verified, flagged_layers, refresh_layers, rotation_step,
-    scrub_sweep, RotationAction,
-};
+use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
 use crate::sync::{lock, read_lock, write_lock, FetchTicket, SnapshotSlot, VerifiedSnapshot};
 use crate::telemetry::{
     metric, RequestRecord, RotationEvent, RotationEventKind, ServeOutcome, Telemetry,
@@ -29,17 +26,15 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 /// * a **batcher** coalescing up to `max_batch` requests (waiting at most `max_wait`
 ///   for stragglers) and dispatching batches to the workers — it owns the logical
 ///   clock (the dispatched-batch count) that the adversary and scrubber key off;
-/// * `workers` **inference workers**, each owning one model replica in `models`. On
-///   the default [`FetchMode::SharedSnapshot`] the batch's ticket holder runs *one*
-///   fused fetch-and-verify pass — each layer's bytes are copied out of the shared
-///   [`WeightDram`] while the ±1 mask scatter-adds into the signature accumulators
-///   (when `inpath_verify` is on) — recovers flagged groups in the image and in the
-///   snapshot before anyone reads it, and publishes the result as an epoch- and
-///   batch-stamped `Arc<VerifiedSnapshot>`; inference consumes the shared `&[i8]`
-///   slices directly (`forward_with_values` on [`ExecPath::QuantizedNative`], a
-///   replica write-back on the float oracle), with no worker-side mutation. The
-///   [`FetchMode::PerWorker`] baseline re-fetches into a private per-worker layer
-///   arena with a separate verify pass — kept for the journal-equivalence gate;
+/// * `workers` **inference workers**, each owning one model replica in `models`. The
+///   batch's ticket holder runs *one* fused fetch-and-verify pass — each layer's
+///   bytes are copied out of the shared [`WeightDram`] while the ±1 mask
+///   scatter-adds into the signature accumulators (when `inpath_verify` is on) —
+///   recovers flagged groups in the image and in the snapshot before anyone reads
+///   it, and publishes the result as an epoch- and batch-stamped
+///   `Arc<VerifiedSnapshot>`. Inference runs `forward_with_values` straight off the
+///   shared `&[i8]` slices, with no worker-side mutation: the replica supplies only
+///   the model's structure, scales and float-only layers;
 /// * a background **scrubber** sweeping `scrub_layers` layers of the DRAM image every
 ///   `scrub_every` batches through [`RadarProtection::verify_layer_values`], merging
 ///   its findings into the shared recovery path;
@@ -290,18 +285,18 @@ pub fn serve(
             });
         }
 
-        // Inference workers: one model replica each, verified fetch in batch order,
-        // overlapped inference. On the quantized-native path the fetched bytes land
-        // in a per-worker layer arena — verified as raw slices, executed through the
-        // integer GEMM (i8×i8 products, i32 accumulation, requantization epilogue;
-        // GEMM-level threading stays at the RADAR_GEMM_THREADS default so worker
-        // parallelism composes predictably) — and the replica contributes only its
-        // structure, scales and float-only layers; its stored weights are never
-        // written. The float-oracle path is the old fetch → write-back →
-        // dequantize-everything → float-forward pipeline.
+        // Inference workers: verified fetch in batch order, overlapped inference.
+        // The ticket holder builds the batch's shared snapshot in one fused
+        // fetch-and-verify pass, and the worker forwards straight off its `&[i8]`
+        // slices through the integer GEMM (i8×i8 products, i32 accumulation,
+        // requantization epilogue; GEMM-level threading stays at the
+        // RADAR_GEMM_THREADS default so worker parallelism composes predictably).
+        // The replica contributes only its structure, scales and float-only layers;
+        // its stored weights are never read or written.
         for (w, mut model) in models.into_iter().enumerate() {
             let dram = &dram;
             let protection = protection.as_ref();
+            let verifier = protection.filter(|_| config.inpath_verify);
             let telemetry = &telemetry;
             let fetched = &fetched;
             let batch_rx = &batch_rx;
@@ -310,19 +305,6 @@ pub fn serve(
                 let mut shard = telemetry.shard(Tid::Worker(w as u16));
                 let worker_labels = Labels::none().worker(w as u32);
                 let mut acc: Vec<i32> = Vec::new();
-                let native = config.exec == ExecPath::QuantizedNative;
-                let shared = config.fetch == FetchMode::SharedSnapshot;
-                // Per-worker layer arena (PerWorker mode only): one reusable buffer
-                // per layer holding the bytes this worker fetched from DRAM for the
-                // current batch. SharedSnapshot builds into pooled snapshot buffers
-                // instead.
-                let mut arena: Vec<Vec<i8>> = if shared {
-                    Vec::new()
-                } else {
-                    (0..model.num_layers())
-                        .map(|layer| Vec::with_capacity(model.layer(layer).len()))
-                        .collect()
-                };
                 loop {
                     let received = lock(batch_rx).recv();
                     let Ok(batch) = received else { break };
@@ -340,93 +322,33 @@ pub fn serve(
                     if let Some(prot) = protection {
                         pinned = read_lock(prot).current_epoch();
                     }
-                    let mut flagged = DetectionReport::default();
-                    let mut verified = false;
-                    // SharedSnapshot: the buffers this batch's fused build fills,
-                    // recycled from a retired snapshot when one has fully drained.
+                    // The buffers this batch's fused build fills, recycled from a
+                    // retired snapshot when one has fully drained.
                     let mut build: Vec<Vec<i8>> = Vec::new();
-                    if shared {
-                        if let Some(buffers) = snapshots.acquire_buffers() {
-                            build = buffers;
-                            shard.force_add(metric::SNAPSHOT_RECLAIMS, worker_labels.clone(), 1);
-                        }
+                    if let Some(buffers) = snapshots.acquire_buffers() {
+                        build = buffers;
+                        shard.force_add(metric::SNAPSHOT_RECLAIMS, worker_labels.clone(), 1);
                     }
+                    // One fused pass per batch: bytes copied out of DRAM while the
+                    // mask scatter-adds into the signature accumulators (a plain
+                    // copy when in-path verification is off).
                     let timer = shard.span_start();
-                    {
+                    let mut checking = Duration::ZERO;
+                    let flagged = {
                         let dram = read_lock(dram);
-                        match (config.inpath_verify, protection) {
-                            (true, Some(prot)) => {
-                                let prot = read_lock(prot);
-                                let mut checking = Duration::ZERO;
-                                if shared {
-                                    // One fused pass per batch: bytes copied out of
-                                    // DRAM while the mask scatter-adds into the
-                                    // signature accumulators.
-                                    flagged = build_snapshot(
-                                        &dram,
-                                        Some((&prot, pinned)),
-                                        &mut build,
-                                        &mut acc,
-                                        &mut checking,
-                                    );
-                                } else if native {
-                                    flagged = fetch_arena_verified(
-                                        &dram,
-                                        Some((&prot, pinned)),
-                                        &mut arena,
-                                        &mut acc,
-                                        &mut checking,
-                                    );
-                                } else {
-                                    for layer in 0..model.num_layers() {
-                                        dram.fetch_layer_into(&mut model, layer);
-                                        let started = Stopwatch::start();
-                                        flagged.merge(&prot.detect_layers_with_scratch(
-                                            &model,
-                                            layer..layer + 1,
-                                            &mut acc,
-                                        ));
-                                        checking += started.elapsed_duration();
-                                    }
-                                }
-                                verified = true;
-                                shard.force_add(
-                                    metric::VERIFY_NS,
-                                    worker_labels.clone(),
-                                    checking.as_nanos() as u64,
-                                );
-                            }
-                            _ if shared => {
-                                let mut unused = Duration::ZERO;
-                                build_snapshot(&dram, None, &mut build, &mut acc, &mut unused);
-                            }
-                            _ if native => {
-                                let mut unused = Duration::ZERO;
-                                fetch_arena_verified(
-                                    &dram,
-                                    None,
-                                    &mut arena,
-                                    &mut acc,
-                                    &mut unused,
-                                );
-                            }
-                            _ => dram.fetch_into(&mut model),
-                        }
-                    }
-                    shard.span_end(
-                        timer,
-                        if shared {
-                            "snapshot_build"
-                        } else {
-                            "fetch_verify"
-                        },
-                        index,
-                    );
+                        let prot = verifier.map(read_lock);
+                        build_snapshot(
+                            &dram,
+                            prot.as_deref().map(|prot| (prot, pinned)),
+                            &mut build,
+                            &mut acc,
+                            &mut checking,
+                        )
+                    };
+                    shard.span_end(timer, "snapshot_build", index);
                     // The fetch track's journal events: emitted only by the
                     // ticket-holding worker (exactly one per batch), so the track's
-                    // canonical order is flush-independent. Logical fields only —
-                    // the epoch pin and flag counts are identical across
-                    // `ExecPath`s by the equivalence contract.
+                    // canonical order is flush-independent. Logical fields only.
                     shard.event(
                         index,
                         Track::Fetch,
@@ -434,7 +356,12 @@ pub fn serve(
                             epoch: pinned.index(),
                         },
                     );
-                    if verified {
+                    if verifier.is_some() {
+                        shard.force_add(
+                            metric::VERIFY_NS,
+                            worker_labels.clone(),
+                            checking.as_nanos() as u64,
+                        );
                         shard.event(
                             index,
                             Track::Fetch,
@@ -453,10 +380,10 @@ pub fn serve(
                                 groups_flagged: flagged.num_flagged() as u64,
                             },
                         );
-                        // In-path flags imply a protection was configured; the `if
+                        // In-path flags imply a verifier was configured; the `if
                         // let` (rather than an `expect`) keeps the worker loop free
                         // of panicking accessors, per the `no-unwrap-worker` lint.
-                        if let Some(prot) = protection {
+                        if let Some(prot) = verifier {
                             let mut dram = write_lock(dram);
                             let mut prot = write_lock(prot);
                             let recovery = recover_in_dram(&mut prot, &mut dram, &flagged);
@@ -468,21 +395,10 @@ pub fn serve(
                                     weights_zeroed: recovery.weights_zeroed as u64,
                                 },
                             );
-                            // Refresh the recovered layers in the image about to be
-                            // served — the pending snapshot, the worker's arena, or
-                            // the replica — so inference consumes the zeroed (not
-                            // corrupted) weights. In SharedSnapshot mode this happens
+                            // Refresh the recovered layers in the pending snapshot,
                             // strictly before publish: consumers can never observe
                             // pre-recovery bytes.
-                            if shared {
-                                refresh_layers(&dram, &flagged, &mut build);
-                            } else if native {
-                                refresh_layers(&dram, &flagged, &mut arena);
-                            } else {
-                                for layer in flagged_layers(&flagged) {
-                                    dram.fetch_layer_into(&mut model, layer);
-                                }
-                            }
+                            refresh_layers(&dram, &flagged, &mut build);
                         }
                     }
                     // Publish the batch's verified snapshot *before* releasing the
@@ -494,58 +410,35 @@ pub fn serve(
                     // after the ticket release could observe a *newer* snapshot;
                     // consuming before publish would observe a stale one — the
                     // hazard the schedule model-checker's `StaleSnapshot` mutation
-                    // seeds.)
-                    let mut snapshot = None;
-                    if shared {
-                        snapshots.publish(VerifiedSnapshot::new(
-                            batch.index,
-                            pinned,
-                            std::mem::take(&mut build),
-                        ));
-                        shard.force_add(metric::SNAPSHOT_PUBLISHES, worker_labels.clone(), 1);
-                        if let Some(snap) = snapshots.latest() {
-                            assert_eq!(
-                                snap.batch(),
-                                batch.index,
-                                "stale snapshot consumed while serving batch {}",
-                                batch.index
-                            );
-                            assert_eq!(
-                                snap.epoch(),
-                                pinned,
-                                "snapshot epoch stamp does not match the pinned epoch"
-                            );
-                            snapshot = Some(snap);
-                        }
-                    }
+                    // seeds.) An empty slot here is a protocol break, not a batch
+                    // to skip: fail as loudly as the stamp asserts.
+                    snapshots.publish(VerifiedSnapshot::new(batch.index, pinned, build));
+                    shard.force_add(metric::SNAPSHOT_PUBLISHES, worker_labels.clone(), 1);
+                    let Some(snapshot) = snapshots.latest() else {
+                        panic!(
+                            "snapshot slot empty right after publishing batch {}",
+                            batch.index
+                        );
+                    };
+                    assert_eq!(
+                        snapshot.batch(),
+                        batch.index,
+                        "stale snapshot consumed while serving batch {}",
+                        batch.index
+                    );
+                    assert_eq!(
+                        snapshot.epoch(),
+                        pinned,
+                        "snapshot epoch stamp does not match the pinned epoch"
+                    );
                     fetched.publish(batch.index + 1);
 
                     let sample_ids: Vec<usize> = batch.requests.iter().map(|r| r.sample).collect();
                     let subset = eval.subset(&sample_ids);
                     let started = Stopwatch::start();
                     let timer = shard.span_start();
-                    let logits = match &snapshot {
-                        // Consume the shared snapshot: quantized-native forwards run
-                        // straight off the published `&[i8]` slices; the float
-                        // oracle writes them back into this worker's replica first
-                        // (its pre-snapshot pipeline needs the model's own values).
-                        Some(snap) => {
-                            shard.force_add(metric::SNAPSHOT_HITS, worker_labels.clone(), 1);
-                            if native {
-                                model.forward_with_values(snap.layers(), subset.images())
-                            } else {
-                                for (layer, values) in snap.layers().iter().enumerate() {
-                                    model
-                                        .layer_weights_mut(layer)
-                                        .values_mut()
-                                        .copy_from_slice(values);
-                                }
-                                model.forward_float(subset.images())
-                            }
-                        }
-                        None if native => model.forward_with_values(&arena, subset.images()),
-                        None => model.forward_float(subset.images()),
-                    };
+                    shard.force_add(metric::SNAPSHOT_HITS, worker_labels.clone(), 1);
+                    let logits = model.forward_with_values(snapshot.layers(), subset.images());
                     shard.span_end(timer, "infer", index);
                     shard.force_add(
                         metric::INFER_NS,

@@ -53,7 +53,7 @@ mod sync;
 mod telemetry;
 mod traffic;
 
-pub use config::{ExecPath, FetchMode, ServeConfig};
+pub use config::ServeConfig;
 pub use engine::{replicas, serve};
 // The latency histogram was promoted into `radar-obs`; re-exported so existing
 // `radar_serve::LatencyHistogram` consumers keep compiling. The observability

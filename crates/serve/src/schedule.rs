@@ -19,13 +19,16 @@
 //! * **no corrupted traffic served** under in-path verification with barriers.
 //!
 //! The checker runs the *same code* the engine runs — [`crate::steps`]'s
-//! `fetch_arena_verified`/`scrub_sweep` and [`crate::recovery`]'s re-checking
-//! recovery operate on a real [`WeightDram`] and [`RadarProtection`] — only the
-//! scheduling differs: instead of OS threads, a memoized depth-first search forks
-//! the whole state at every enabled step. [`Mutation`] seeds deliberately broken
-//! protocol variants (skip the recovery re-check, publish the fetch ticket before
-//! recovering, drop the ticket wait entirely) and the test suite demonstrates the
-//! checker catches each one — the "teeth" that justify trusting a green run.
+//! `build_snapshot`/`refresh_layers`/`scrub_sweep`/`rotation_step` and
+//! [`crate::recovery`]'s re-checking recovery operate on a real [`WeightDram`] and
+//! [`RadarProtection`], and the shared-snapshot publish/consume is modelled with the
+//! engine's stamp assert — only the scheduling differs: instead of OS threads, a
+//! memoized depth-first search forks the whole state at every enabled step.
+//! [`Mutation`] seeds deliberately broken protocol variants (skip the recovery
+//! re-check, publish the fetch ticket before recovering, drop the ticket wait
+//! entirely, retire the previous epoch at publish, publish the snapshot before its
+//! recovery refresh) and the test suite demonstrates the checker catches each one —
+//! the "teeth" that justify trusting a green run.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -38,12 +41,8 @@ use radar_quant::{QuantizedModel, MSB};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::FetchMode;
 use crate::recovery::recover_in_dram_traced;
-use crate::steps::{
-    build_snapshot, fetch_arena_verified, refresh_layers, rotation_step, scrub_sweep,
-    RotationAction,
-};
+use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
 
 /// Cap on recorded violations; exploration continues (for accurate state/schedule
 /// counts) but further violations are dropped once this many are recorded.
@@ -81,7 +80,7 @@ pub enum Mutation {
     /// bytes. The batch and epoch stamps still match — only the build→refresh→publish
     /// ordering is broken — so the stamp asserts cannot save the run and the
     /// pre-recovery corruption reaches traffic: a corrupt-served violation the
-    /// checker must find. Only meaningful under [`FetchMode::SharedSnapshot`].
+    /// checker must find.
     StaleSnapshot,
 }
 
@@ -119,10 +118,6 @@ pub struct Scenario {
     /// performs exactly one rotation action — begin, re-sign one layer, publish,
     /// retire — mirroring the engine's re-keying task.
     pub rotate_every: usize,
-    /// How a batch's verified weights reach its worker: the shared-snapshot
-    /// publish/consume protocol (the engine default) or the per-worker arena
-    /// baseline. Both must satisfy the same invariants.
-    pub fetch: FetchMode,
     /// The scripted strike, if any.
     pub strike: Option<StrikeSpec>,
     /// When set, the adversary and scrubber are *not* held at the fetch barrier:
@@ -176,7 +171,6 @@ impl Scenario {
             scrub_every: 2,
             scrub_layers: 2,
             rotate_every: 0,
-            fetch: FetchMode::SharedSnapshot,
             strike: None,
             relax_barrier: false,
             mutation: Mutation::None,
@@ -549,10 +543,10 @@ impl State {
         }
     }
 
-    /// Finishes a worker's pre-serve work: recovery (if flagged), arena refresh,
-    /// snapshot publish/consume (in shared-snapshot mode) and ticket publish, in the
-    /// order the protocol variant prescribes. The worker then serves its (now fixed)
-    /// weight snapshot as a separate, concurrent step.
+    /// Finishes a worker's pre-serve work: recovery (if flagged), snapshot refresh,
+    /// snapshot publish/consume and ticket publish, in the order the protocol
+    /// variant prescribes. The worker then serves the consumed snapshot as a
+    /// separate, concurrent step.
     fn finish_batch(
         &mut self,
         sc: &Scenario,
@@ -562,8 +556,7 @@ impl State {
         mut arena: Vec<Vec<i8>>,
         publish: bool,
     ) {
-        let shared = sc.fetch == FetchMode::SharedSnapshot;
-        if shared && sc.mutation == Mutation::StaleSnapshot {
+        if sc.mutation == Mutation::StaleSnapshot {
             // The seeded bug: publish the snapshot before recovery refreshes it.
             // The batch stamp is correct — only the ordering is broken.
             self.slot = Some((batch, arena.clone()));
@@ -572,24 +565,19 @@ impl State {
             self.recover(sc, report);
             refresh_layers(&self.dram, report, &mut arena);
         }
-        let arena = if shared {
-            if sc.mutation != Mutation::StaleSnapshot {
-                // The shipped ordering: build → recover → refresh → publish.
-                self.slot = Some((batch, arena));
-            }
-            // Consume `latest()` while still holding the fetch ticket, asserting
-            // the stamp exactly as the engine does. Under `StaleSnapshot` the
-            // stamp still matches — the assert cannot catch the broken ordering,
-            // which is the point: the corrupt-served invariant has to.
-            let (stamp, layers) = self
-                .slot
-                .clone()
-                .expect("the ticket holder published a snapshot");
-            assert_eq!(stamp, batch, "stale snapshot consumed");
-            layers
-        } else {
-            arena
-        };
+        if sc.mutation != Mutation::StaleSnapshot {
+            // The shipped ordering: build → recover → refresh → publish.
+            self.slot = Some((batch, arena));
+        }
+        // Consume `latest()` while still holding the fetch ticket, asserting the
+        // stamp exactly as the engine does. Under `StaleSnapshot` the stamp still
+        // matches — the assert cannot catch the broken ordering, which is the
+        // point: the corrupt-served invariant has to.
+        let (stamp, arena) = self
+            .slot
+            .clone()
+            .expect("the ticket holder published a snapshot");
+        assert_eq!(stamp, batch, "stale snapshot consumed");
         if publish {
             self.fetched = batch + 1;
         }
@@ -617,7 +605,7 @@ impl State {
                 let Phase::Pinned { batch, epoch } = phase else {
                     unreachable!("fetch requires a pinned epoch");
                 };
-                let mut arena: Vec<Vec<i8>> = (0..sc.num_layers).map(|_| Vec::new()).collect();
+                let mut arena = Vec::new();
                 let mut acc = Vec::new();
                 let mut unused = Duration::ZERO;
                 // The seeded NoPreviousEpoch bug: a pin the (prematurely retired)
@@ -627,11 +615,7 @@ impl State {
                 let skip_verify =
                     sc.mutation == Mutation::NoPreviousEpoch && !self.prot.accepts_epoch(epoch);
                 let prot = (sc.inpath_verify && !skip_verify).then_some((&self.prot, epoch));
-                let report = if sc.fetch == FetchMode::SharedSnapshot {
-                    build_snapshot(&self.dram, prot, &mut arena, &mut acc, &mut unused)
-                } else {
-                    fetch_arena_verified(&self.dram, prot, &mut arena, &mut acc, &mut unused)
-                };
+                let report = build_snapshot(&self.dram, prot, &mut arena, &mut acc, &mut unused);
                 self.workers[w].phase = Phase::Verified {
                     batch,
                     report,

@@ -1,10 +1,11 @@
 //! The protocol steps of the serving engine, as plain functions over the shared
 //! state they touch.
 //!
-//! These are the atomic units of the serve/detect concurrency core: a worker's
-//! verified arena fetch, the scrubber's incremental sweep, and the walk over a
-//! detection report's flagged layers. The OS-scheduled engine ([`crate::engine`])
-//! calls them under its `RwLock` guards; the deterministic schedule model-checker
+//! These are the atomic units of the serve/detect concurrency core: the ticket
+//! holder's fused snapshot build and post-recovery refresh, the scrubber's
+//! incremental sweep, the re-keying tick, and the walk over a detection report's
+//! flagged layers. The OS-scheduled engine ([`crate::engine`]) calls them under
+//! its `RwLock` guards; the deterministic schedule model-checker
 //! ([`crate::schedule`]) calls the *same* functions in exhaustively enumerated
 //! orders — so what the checker proves is a property of the code the engine runs,
 //! not of a parallel re-implementation.
@@ -21,44 +22,17 @@ use radar_obs::Stopwatch;
 
 use crate::recovery::recover_in_dram_traced;
 
-/// One worker's per-batch weight fetch: reads every layer's bytes from `dram` into
-/// the per-worker `arena`, verifying each layer's raw slice in the fetch path when
-/// `prot` is provided — under the [`KeyEpoch`] the worker *pinned* when its fetch
-/// ticket came up. A rotation publish landing between the pin and this call simply
-/// moves the pinned epoch into the protection's `{current, previous}` acceptance
-/// window; verification proceeds against the matching retained store either way.
-/// Returns the merged detection report (empty when `prot` is `None`).
-///
-/// `checking` accumulates the time spent in signature checks only — the per-layer
-/// weight copy is paid by the unprotected baseline too, so folding it in would
-/// overstate the verification cost.
-pub(crate) fn fetch_arena_verified(
-    dram: &WeightDram,
-    prot: Option<(&RadarProtection, KeyEpoch)>,
-    arena: &mut [Vec<i8>],
-    acc: &mut Vec<i32>,
-    checking: &mut Duration,
-) -> DetectionReport {
-    let mut flagged = DetectionReport::default();
-    for (layer, buf) in arena.iter_mut().enumerate() {
-        dram.read_layer_into(layer, buf);
-        if let Some((prot, epoch)) = prot {
-            let started = Stopwatch::start();
-            flagged.merge(&prot.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, acc));
-            *checking += started.elapsed_duration();
-        }
-    }
-    flagged
-}
-
 /// The per-batch snapshot build: one fused fetch-and-verify pass over every layer's
 /// DRAM bytes into the shared snapshot buffers `layers` — the batch's single sweep
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// *while* the ±1 mask scatter-adds into the signature accumulators, so where the
-/// per-worker arena paid a copy pass plus a verify pass, the build pays one.
-/// Without a protection the build is a plain per-layer copy.
+/// *while* the ±1 mask scatter-adds into the signature accumulators, so where a
+/// split fetch would pay a copy pass plus a verify pass, the build pays one. A
+/// rotation publish landing between the pin and this call simply moves the pinned
+/// epoch into the protection's `{current, previous}` acceptance window;
+/// verification proceeds against the matching retained store either way. Without
+/// a protection the build is a plain per-layer copy.
 ///
 /// `layers` is resized to the layer count and refilled; capacities recycle across
 /// builds (the engine pools retired snapshot buffers). Returns the merged
@@ -195,10 +169,10 @@ pub(crate) fn scrub_sweep(
 /// (A [`DetectionReport`]'s flagged list is kept sorted by `(layer, group)` and
 /// deduplicated, so adjacent-duplicate suppression is exact.)
 ///
-/// Workers walk this after an in-path recovery to refresh exactly the recovered
-/// layers in their arena (or replica), so inference consumes the zeroed — not
-/// corrupted — weights.
-pub(crate) fn flagged_layers(report: &DetectionReport) -> impl Iterator<Item = usize> + '_ {
+/// [`refresh_layers`] walks this after an in-path recovery to re-read exactly the
+/// recovered layers into the pending snapshot, so inference consumes the zeroed —
+/// not corrupted — weights.
+fn flagged_layers(report: &DetectionReport) -> impl Iterator<Item = usize> + '_ {
     let mut last = None;
     report.flagged.iter().filter_map(move |f| {
         if last == Some(f.layer) {
@@ -225,45 +199,57 @@ mod tests {
         (radar, dram)
     }
 
+    /// The split reference for the fused build: copy every layer out of DRAM, then
+    /// verify the copied slice in a second pass under `epoch`.
+    fn split_fetch_verify(
+        dram: &WeightDram,
+        radar: &RadarProtection,
+        epoch: KeyEpoch,
+        layers: &mut Vec<Vec<i8>>,
+    ) -> DetectionReport {
+        layers.resize_with(dram.num_layers(), Vec::new);
+        let mut acc = Vec::new();
+        let mut flagged = DetectionReport::default();
+        for (layer, buf) in layers.iter_mut().enumerate() {
+            dram.read_layer_into(layer, buf);
+            flagged.merge(
+                &radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, &mut acc),
+            );
+        }
+        flagged
+    }
+
     #[test]
-    fn fetch_arena_verified_flags_corruption_and_fills_the_arena() {
+    fn build_snapshot_flags_corruption_and_fills_every_layer() {
         let (radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let mut acc = Vec::new();
-        let mut checking = Duration::ZERO;
-        let report = fetch_arena_verified(
+        let (mut snap, mut acc, mut checking) = (Vec::new(), Vec::new(), Duration::ZERO);
+        let report = build_snapshot(
             &dram,
             Some((&radar, radar.current_epoch())),
-            &mut arena,
+            &mut snap,
             &mut acc,
             &mut checking,
         );
         assert!(report.attack_detected());
         assert!(report.contains(2, radar.group_of(2, 5)));
         assert!(checking > Duration::ZERO);
-        for (layer, buf) in arena.iter().enumerate() {
+        assert_eq!(snap.len(), dram.num_layers());
+        for (layer, buf) in snap.iter().enumerate() {
             assert_eq!(buf.len(), dram.layer_len(layer));
         }
-        // Without a protection the same fetch fills the arena but flags nothing.
-        let clean = fetch_arena_verified(&dram, None, &mut arena, &mut acc, &mut checking);
+        // Without a protection the same build fills the snapshot but flags nothing.
+        let clean = build_snapshot(&dram, None, &mut snap, &mut acc, &mut checking);
         assert!(!clean.attack_detected());
     }
 
     #[test]
-    fn build_snapshot_matches_fetch_arena_verified_bit_for_bit() {
+    fn build_snapshot_matches_the_split_fetch_then_verify_bit_for_bit() {
         let (radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let (mut acc, mut checking) = (Vec::new(), Duration::ZERO);
-        let arena_report = fetch_arena_verified(
-            &dram,
-            Some((&radar, radar.current_epoch())),
-            &mut arena,
-            &mut acc,
-            &mut checking,
-        );
-        let mut snap = Vec::new();
+        let mut split = Vec::new();
+        let split_report = split_fetch_verify(&dram, &radar, radar.current_epoch(), &mut split);
+        let (mut snap, mut acc, mut checking) = (Vec::new(), Vec::new(), Duration::ZERO);
         let snap_report = build_snapshot(
             &dram,
             Some((&radar, radar.current_epoch())),
@@ -271,15 +257,15 @@ mod tests {
             &mut acc,
             &mut checking,
         );
-        assert_eq!(snap_report, arena_report);
+        assert_eq!(snap_report, split_report);
         assert_eq!(
-            snap, arena,
-            "fused build must produce the arena's exact bytes"
+            snap, split,
+            "fused build must produce the split fetch's exact bytes"
         );
         // The unprotected build copies the same bytes and flags nothing.
         let clean = build_snapshot(&dram, None, &mut snap, &mut acc, &mut checking);
         assert!(!clean.attack_detected());
-        assert_eq!(snap, arena);
+        assert_eq!(snap, split);
     }
 
     #[test]
@@ -389,12 +375,11 @@ mod tests {
         ) {}
         assert_eq!(radar.previous_epoch(), Some(pinned));
         dram.flip_bit(dram.offset_of(1, 2), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let mut checking = Duration::ZERO;
-        let report = fetch_arena_verified(
+        let (mut snap, mut checking) = (Vec::new(), Duration::ZERO);
+        let report = build_snapshot(
             &dram,
             Some((&radar, pinned)),
-            &mut arena,
+            &mut snap,
             &mut acc,
             &mut checking,
         );

@@ -37,8 +37,8 @@ pub mod metric {
     pub const STRIKES_NEVER_FIRED: &str = "serve.strikes_never_fired";
     /// Verification passes that flagged at least one group.
     pub const DETECTIONS: &str = "serve.detections";
-    /// Shared snapshots built and published (one per batch under
-    /// `FetchMode::SharedSnapshot`; labelled per builder worker).
+    /// Shared snapshots built and published (one per batch, by the worker holding
+    /// its fetch ticket; labelled per builder worker).
     pub const SNAPSHOT_PUBLISHES: &str = "serve.snapshot_publishes";
     /// Consumptions of a published snapshot (handles taken for inference — with
     /// one worker per batch this equals publishes; a fleet sharing one snapshot
@@ -89,8 +89,7 @@ pub struct DetectionEvent {
 /// One action of the background re-keying task, on the batcher's logical clock.
 ///
 /// Deliberately wall-clock-free: rotation progress is part of a run's *logical*
-/// outcome, so the event stream of a seeded run must be identical across replays
-/// (and across the quantized-native / float-oracle execution paths).
+/// outcome, so the event stream of a seeded run must be identical across replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RotationEvent {
     /// Batch index (logical clock) the rotation tick fired at.

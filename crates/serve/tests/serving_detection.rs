@@ -1,7 +1,9 @@
 //! Serving-time detection properties: flips that land *between* the layer fetches of
 //! one inference are caught no later than the next scrub sweep, recovery stays
 //! idempotent when the scrubber and the in-path check race on the same corruption,
-//! and the full engine replays its logical outcomes deterministically.
+//! the full engine replays its logical outcomes deterministically, and its single
+//! serving path (fused fetch-and-verify snapshot, integer forward) answers exactly
+//! like an independent sequential split-verify, float-forward replay.
 
 use std::sync::RwLock;
 use std::time::Duration;
@@ -9,11 +11,9 @@ use std::time::Duration;
 use radar_attack::{AttackProfile, BitFlip, FlipDirection};
 use radar_core::{DetectionReport, RadarConfig, RadarProtection};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
-use radar_nn::{resnet20, ResNetConfig};
+use radar_nn::{argmax_rows, resnet20, ResNetConfig};
 use radar_quant::{QuantizedModel, MSB};
-use radar_serve::{
-    recover_in_dram, replicas, serve, ExecPath, FetchMode, ServeConfig, TrafficSchedule,
-};
+use radar_serve::{recover_in_dram, replicas, serve, AccuracyWindow, ServeConfig, TrafficSchedule};
 use radar_tensor::Tensor;
 
 fn tiny_model() -> QuantizedModel {
@@ -160,8 +160,6 @@ fn engine_config() -> ServeConfig {
         scrub_layers: 5,
         rotate_every: 0,
         window: 8,
-        exec: ExecPath::QuantizedNative,
-        fetch: FetchMode::SharedSnapshot,
         obs: radar_serve::ObsConfig::default(),
     }
 }
@@ -273,62 +271,117 @@ fn engine_scrub_only_detects_within_a_cycle_and_replays_deterministically() {
     assert_eq!(logical_ttd(&a), logical_ttd(&b));
 }
 
-/// The quantized-native switch changes *how* workers compute, not *what* happens: an
-/// `attack_inpath`-shaped run replayed on the float-oracle path produces byte-identical
-/// logical telemetry — time-to-detect, recovery counts, detections, and every served
-/// accuracy window. (The two paths' logits differ only in where the scale rounding
-/// lands, which never moves an argmax on this seeded traffic.)
+/// The engine's one serving path — fused fetch-and-verify into a shared snapshot,
+/// recovery refreshed into it before publish, integer forward off its slices —
+/// answers exactly like an independent sequential replay of the same strict
+/// batches that verifies in a separate pass after the copy, recovers, writes the
+/// bytes back into a model and runs the float forward. The strike (MSB flips on the
+/// largest positive classifier weights) is strong enough to change whether some
+/// request is answered correctly, so serving even one batch of unrecovered bytes
+/// would show up in the per-request accuracy windows.
 #[test]
-fn quantized_native_switch_preserves_attack_inpath_telemetry_exactly() {
-    let run = |exec: ExecPath| {
-        let signer = tiny_model();
-        let protection = RadarProtection::new(&signer, RadarConfig::paper_default(32));
-        let dram = WeightDram::load(&signer, DramGeometry::default());
-        let eval = eval_set(16);
-        let mut cfg = engine_config();
-        cfg.exec = exec;
-        let timeline = AttackTimeline::new(vec![MountEvent {
+fn engine_matches_a_sequential_split_verify_float_forward_replay() {
+    let signer = tiny_model();
+    let classifier = signer.num_layers() - 1;
+    let values = signer.layer_values(classifier);
+    let mut largest: Vec<usize> = (0..values.len()).collect();
+    largest.sort_by_key(|&i| std::cmp::Reverse(values[i]));
+    let flips: Vec<(usize, usize)> = largest[..4].iter().map(|&i| (classifier, i)).collect();
+    let timeline = || {
+        AttackTimeline::new(vec![MountEvent {
             at_batch: 4,
             injector: RowhammerInjector::default(),
-            profile: profile(&[(2, 5), (7, 0)]),
+            profile: profile(&flips),
             seed: 1,
-        }]);
-        serve(
-            replicas(cfg.workers, tiny_model),
-            Some(protection),
-            dram,
-            &eval,
-            &TrafficSchedule::new(7, 64),
-            timeline,
-            &cfg,
-        )
+        }])
+    };
+    let protection = RadarProtection::new(&signer, RadarConfig::paper_default(32));
+    let dram = WeightDram::load(&signer, DramGeometry::default());
+    let eval = eval_set(16);
+    let schedule = TrafficSchedule::new(7, 64);
+    // No scrubber (every detection is in-path) and one request per window (every
+    // answer is compared).
+    let cfg = ServeConfig {
+        scrub_every: 0,
+        window: 1,
+        ..engine_config()
     };
 
-    let native = run(ExecPath::QuantizedNative);
-    let oracle = run(ExecPath::FloatOracle);
-
-    let ttd = |o: &radar_serve::ServeOutcome| {
-        o.time_to_detect
-            .map(|t| (t.batches, t.requests, t.via_scrub))
-    };
-    assert_eq!(ttd(&native), ttd(&oracle), "time-to-detect");
-    assert_eq!(native.recovery, oracle.recovery, "recovery counts");
-    assert_eq!(
-        native
-            .detections
-            .iter()
-            .map(|d| (d.batch, d.via_scrub, d.groups_flagged))
-            .collect::<Vec<_>>(),
-        oracle
-            .detections
-            .iter()
-            .map(|d| (d.batch, d.via_scrub, d.groups_flagged))
-            .collect::<Vec<_>>(),
-        "detection events"
+    let outcome = serve(
+        replicas(cfg.workers, tiny_model),
+        Some(protection.clone()),
+        dram.clone(),
+        &eval,
+        &schedule,
+        timeline(),
+        &cfg,
     );
-    assert_eq!(native.windows, oracle.windows, "served accuracy windows");
-    assert_eq!(native.requests, oracle.requests);
-    assert_eq!(native.batches, oracle.batches);
+
+    let (mut radar, mut dram, mut model) = (protection, dram, tiny_model());
+    let mut timeline = timeline();
+    let mut answer = |dram: &WeightDram, images: &Tensor| {
+        dram.fetch_into(&mut model);
+        argmax_rows(&model.forward_float(images))
+    };
+    let (mut detections, mut groups_zeroed, mut moved) = (Vec::new(), 0usize, 0usize);
+    let mut windows = Vec::new();
+    let mut buf = Vec::new();
+    let samples = schedule.sample_indices(eval.len());
+    for (batch, sample_ids) in samples.chunks(cfg.max_batch).enumerate() {
+        while let Some(event) = timeline.pop_due(batch) {
+            event.mount(&mut dram);
+        }
+        let mut flagged = DetectionReport::default();
+        for layer in 0..dram.num_layers() {
+            dram.read_layer_into(layer, &mut buf);
+            flagged.merge(&radar.verify_layer_values(layer, &buf));
+        }
+        let subset = eval.subset(sample_ids);
+        let labels = subset.labels();
+        if flagged.attack_detected() {
+            detections.push((batch, flagged.num_flagged()));
+            let corrupted = answer(&dram, subset.images());
+            groups_zeroed += recover_in_dram(&mut radar, &mut dram, &flagged).groups_zeroed;
+            let recovered = answer(&dram, subset.images());
+            moved += (0..labels.len())
+                .filter(|&i| (corrupted[i] == labels[i]) != (recovered[i] == labels[i]))
+                .count();
+        }
+        for (i, prediction) in answer(&dram, subset.images()).into_iter().enumerate() {
+            let id = batch * cfg.max_batch + i;
+            windows.push(AccuracyWindow {
+                start: id,
+                end: id + 1,
+                correct: usize::from(prediction == labels[i]),
+                total: 1,
+            });
+        }
+    }
+
+    assert_eq!(
+        detections.iter().map(|d| d.0).collect::<Vec<_>>(),
+        vec![4],
+        "the strike is caught at the batch it lands before"
+    );
+    assert!(
+        moved > 0,
+        "the strike must change whether some answer is correct, or serving it unrecovered would go unseen"
+    );
+    assert!(outcome.detections.iter().all(|d| !d.via_scrub));
+    assert_eq!(
+        outcome
+            .detections
+            .iter()
+            .map(|d| (d.batch, d.groups_flagged))
+            .collect::<Vec<_>>(),
+        detections,
+        "detections"
+    );
+    assert_eq!(
+        outcome.recovery.groups_zeroed, groups_zeroed,
+        "groups zeroed"
+    );
+    assert_eq!(outcome.windows, windows, "per-request accuracy windows");
 }
 
 /// With online key rotation armed, the engine completes a full epoch roll under live

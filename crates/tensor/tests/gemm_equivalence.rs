@@ -174,7 +174,7 @@ proptest! {
     /// quantize integer values exactly, and every intermediate stays below the f32
     /// mantissa limit, so both paths compute the same exact integers.
     #[test]
-    fn integer_pipeline_is_bit_identical_to_float_oracle(
+    fn integer_pipeline_is_bit_identical_to_the_float_path(
         (m, k, n) in ragged_dims(),
         wseed in prop::collection::vec(-127i32..128, 64..65),
         xseed in prop::collection::vec(-5i32..6, 64..65),
