@@ -5,10 +5,11 @@
 //! Writes the human-readable table and `artifacts/results/BENCH_infer.json` with
 //! per-thread-count points.
 //!
-//! `--smoke` runs the CI-sized shapes and **exits non-zero if any native thread
-//! count is slower than the single-threaded float path on the serve-shaped batch**
-//! — the regression gate that keeps every configuration of the integer kernels the
-//! fastest way to run the model.
+//! `--smoke` runs the CI-sized shapes and **exits non-zero if a judged native point
+//! is slower than the single-threaded float path**: every swept thread count on the
+//! serve-shaped batch, and 1 thread (the serving default) on the single image.
+//! Single-image points above 1 thread are reported but not judged — each GEMM call
+//! spawns scoped workers afresh, which a batch-1 forward cannot amortize.
 
 use radar_bench::experiments::infer::{bench_infer, InferBenchParams};
 
@@ -24,28 +25,23 @@ fn main() {
     outcome.write_json();
 
     if smoke {
-        let serve = outcome.serve_point();
-        let worst = serve.worst_native();
-        if worst.seconds > serve.float_seconds {
-            eprintln!(
-                "[bench_infer] FAIL: quantized-native path at {} thread(s) ({:.2} ms) is \
-                 slower than the float-shadow path ({:.2} ms) on the serve-shaped batch",
-                worst.threads,
-                worst.seconds * 1e3,
-                serve.float_seconds * 1e3
-            );
+        let failures = outcome.smoke_failures();
+        for failure in &failures {
+            eprintln!("[bench_infer] FAIL: {failure}");
+        }
+        if !failures.is_empty() {
             std::process::exit(1);
         }
-        let best = serve.best_native();
-        eprintln!(
-            "[bench_infer] smoke gate passed: native {:.2}–{:.2} ms across threads {:?} \
-             vs float {:.2} ms (best {:.2}x at {} threads)",
-            best.seconds * 1e3,
-            worst.seconds * 1e3,
-            outcome.threads,
-            serve.float_seconds * 1e3,
-            serve.speedup(),
-            best.threads
-        );
+        for (point, native) in outcome.judged() {
+            eprintln!(
+                "[bench_infer] {} at {} thread(s): native {:.2} ms vs float {:.2} ms ({:.2}x)",
+                point.name,
+                native.threads,
+                native.seconds * 1e3,
+                point.float_seconds * 1e3,
+                point.speedup_at(native)
+            );
+        }
+        eprintln!("[bench_infer] smoke gate passed");
     }
 }

@@ -14,9 +14,10 @@
 //! Two shapes are measured: a single image (the latency floor) and a serve-shaped
 //! batch (the default `max_batch` of the serving engine). Results land in
 //! `artifacts/results/BENCH_infer.json` with one point per shape × thread count;
-//! the `bench_infer` binary's `--smoke` mode additionally *fails* when any native
-//! thread count loses to the single-threaded float path — CI's regression gate for
-//! the integer kernels.
+//! the `bench_infer` binary's `--smoke` mode additionally *fails* when a judged
+//! native point loses to the single-threaded float path
+//! ([`InferBenchOutcome::smoke_failures`]) — CI's regression gate for the integer
+//! kernels.
 
 use std::path::PathBuf;
 
@@ -110,28 +111,6 @@ impl InferPoint {
     /// Float-path time over the given native measurement (> 1 means native wins).
     pub fn speedup_at(&self, native: &NativePoint) -> f64 {
         self.float_seconds / native.seconds
-    }
-
-    /// The fastest native measurement across the thread axis.
-    pub fn best_native(&self) -> &NativePoint {
-        self.native
-            .iter()
-            .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-            .expect("the thread axis always includes 1")
-    }
-
-    /// The slowest native measurement — what the smoke gate judges, so *every*
-    /// swept thread count must beat the float baseline.
-    pub fn worst_native(&self) -> &NativePoint {
-        self.native
-            .iter()
-            .max_by(|a, b| a.seconds.total_cmp(&b.seconds))
-            .expect("the thread axis always includes 1")
-    }
-
-    /// Float-path time over the best native time.
-    pub fn speedup(&self) -> f64 {
-        self.speedup_at(self.best_native())
     }
 }
 
@@ -249,12 +228,40 @@ pub fn bench_infer(params: &InferBenchParams) -> InferBenchOutcome {
 }
 
 impl InferBenchOutcome {
-    /// The serve-shaped batch point — the shape the CI gate is judged on.
-    pub fn serve_point(&self) -> &InferPoint {
+    /// The native points the smoke gate judges against the float baseline:
+    /// every swept thread count on `serve_batch`, and 1 thread — the serving
+    /// default — on `single_image`. Wider `single_image` points stay unjudged:
+    /// each GEMM call spawns its scoped workers afresh, which a batch-1 forward
+    /// cannot amortize.
+    pub fn judged(&self) -> Vec<(&InferPoint, &NativePoint)> {
         self.points
             .iter()
-            .find(|p| p.name == "serve_batch")
-            .expect("serve_batch point is always measured")
+            .flat_map(|p| {
+                p.native
+                    .iter()
+                    .filter(move |n| p.name == "serve_batch" || n.threads == 1)
+                    .map(move |n| (p, n))
+            })
+            .collect()
+    }
+
+    /// The smoke gate's verdict: one message per judged point ([`Self::judged`])
+    /// that is slower than the single-threaded float path. Empty means pass.
+    pub fn smoke_failures(&self) -> Vec<String> {
+        self.judged()
+            .into_iter()
+            .filter(|(p, n)| n.seconds > p.float_seconds)
+            .map(|(p, n)| {
+                format!(
+                    "quantized-native path at {} thread(s) ({:.2} ms) is slower than the \
+                     float-shadow path ({:.2} ms) on {}",
+                    n.threads,
+                    n.seconds * 1e3,
+                    p.float_seconds * 1e3,
+                    p.name
+                )
+            })
+            .collect()
     }
 
     /// Renders the measurement as a human-readable table: one row per
@@ -391,11 +398,54 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_float_over_best_native() {
+    fn speedup_is_float_over_native_time() {
         let p = point();
-        assert!((p.speedup() - 4.0).abs() < 1e-12);
-        assert_eq!(p.best_native().threads, 4);
-        assert_eq!(p.worst_native().threads, 1);
+        assert!((p.speedup_at(&p.native[0]) - 2.0).abs() < 1e-12);
+        assert!((p.speedup_at(&p.native[1]) - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn smoke_gate_judges_every_serve_point_and_single_image_at_one_thread() {
+        let single = |seconds_1: f64, seconds_4: f64| InferPoint {
+            name: "single_image",
+            batch: 1,
+            float_seconds: 0.02,
+            native: vec![
+                NativePoint {
+                    threads: 1,
+                    seconds: seconds_1,
+                },
+                NativePoint {
+                    threads: 4,
+                    seconds: seconds_4,
+                },
+            ],
+            gemm_calls: 22,
+            gemm_panels: 30,
+        };
+        let outcome = |single: InferPoint, serve: InferPoint| InferBenchOutcome {
+            model: "m".into(),
+            total_weights: 0,
+            params: InferBenchParams::smoke(),
+            threads: vec![1, 4],
+            points: vec![single, serve],
+        };
+        // Everything faster than float, except single_image at 4 threads, which
+        // is not judged.
+        let pass = outcome(single(0.01, 0.03), point());
+        assert_eq!(pass.judged().len(), 3);
+        assert!(pass.smoke_failures().is_empty());
+        // single_image at 1 thread slower than float fails the gate.
+        let slow_single = outcome(single(0.03, 0.01), point());
+        let failures = slow_single.smoke_failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("single_image"), "{failures:?}");
+        // Any serve_batch thread count slower than float fails it too.
+        let mut serve = point();
+        serve.native[1].seconds = 0.3;
+        let failures = outcome(single(0.01, 0.01), serve).smoke_failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("4 thread(s)"), "{failures:?}");
     }
 
     #[test]

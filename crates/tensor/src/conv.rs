@@ -116,6 +116,11 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
 /// so `im2col_i8(quantize(x)) == quantize(im2col(x))` element-for-element whenever
 /// the same scale is used.
 ///
+/// The unfold has no per-element bounds test. For each `(channel, kh, kw)` the range
+/// of output columns that read inside the input row is computed once; rows that fall
+/// entirely in the padding are skipped (the output starts zeroed). At stride 1 each
+/// in-range run is one `copy_from_slice`; at larger strides it is a strided gather.
+///
 /// # Example
 ///
 /// ```
@@ -145,27 +150,49 @@ pub fn im2col_i8(
         data.len()
     );
     let (h_out, w_out) = geom.output_size(h, w);
-    let rows = c * geom.kernel_h * geom.kernel_w;
+    let (kh_n, kw_n, stride, pad) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    let rows = c * kh_n * kw_n;
     let cols = n * h_out * w_out;
     let mut out = vec![0i8; rows * cols];
+    if out.is_empty() || h * w == 0 {
+        return out;
+    }
 
-    for ni in 0..n {
-        for ci in 0..c {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = ci * geom.kernel_h * geom.kernel_w + kh * geom.kernel_w + kw;
-                    for oh in 0..h_out {
-                        let ih = (oh * geom.stride + kh) as isize - geom.padding as isize;
-                        for ow in 0..w_out {
-                            let iw = (ow * geom.stride + kw) as isize - geom.padding as isize;
-                            let col = ni * h_out * w_out + oh * w_out + ow;
-                            let v = if ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < w
-                            {
-                                data[((ni * c + ci) * h + ih as usize) * w + iw as usize]
-                            } else {
-                                0
-                            };
-                            out[row * cols + col] = v;
+    // Output columns `ow` in `[lo, hi)` read input column `ow·stride + kw − pad`
+    // inside `[0, w)`; the rest read padding, which the zeroed output already holds.
+    let ow_range = |kw: usize| {
+        let lo = pad.saturating_sub(kw).div_ceil(stride).min(w_out);
+        let hi = (w + pad)
+            .saturating_sub(kw)
+            .div_ceil(stride)
+            .clamp(lo, w_out);
+        (lo, hi)
+    };
+    for (ni, image) in data.chunks_exact(c * h * w).enumerate() {
+        for (ci, plane) in image.chunks_exact(h * w).enumerate() {
+            for kh in 0..kh_n {
+                for kw in 0..kw_n {
+                    let row = (ci * kh_n + kh) * kw_n + kw;
+                    let dst_rows = &mut out[row * cols + ni * h_out * w_out..][..h_out * w_out];
+                    let (lo, hi) = ow_range(kw);
+                    if lo == hi {
+                        continue;
+                    }
+                    let iw0 = lo * stride + kw - pad;
+                    for (oh, dst) in dst_rows.chunks_exact_mut(w_out).enumerate() {
+                        // Rows that fall entirely in the padding stay zero.
+                        let Some(ih) = (oh * stride + kh).checked_sub(pad).filter(|&ih| ih < h)
+                        else {
+                            continue;
+                        };
+                        let src = &plane[ih * w + iw0..(ih + 1) * w];
+                        let dst = &mut dst[lo..hi];
+                        if stride == 1 {
+                            dst.copy_from_slice(&src[..hi - lo]);
+                        } else {
+                            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                                *d = v;
+                            }
                         }
                     }
                 }

@@ -8,13 +8,32 @@
 //!   panel of `B` stays cache-resident while every row of `A` sweeps it. This is the
 //!   *oracle* kernel — single-threaded, bit-identical to the textbook triple loop.
 //! * [`gemm_i8_requant`] — the quantized-native convolution kernel: an `i8` weight
-//!   panel times an `i8` quantized-activation panel, every product accumulated in
+//!   matrix times an `i8` quantized-activation matrix, every product accumulated in
 //!   `i32` ([`gemm_i8`] is the accumulate-only version), with per-row requantization
 //!   (scale multiply + bias add) in the epilogue. **No `f32` multiply exists in the
 //!   inner loop** — the paper's integer-accumulator datapath.
 //! * [`linear_i8_requant`] — the fully-connected layout (`x(rows×k) × W(m×k)ᵀ`):
-//!   both operands walked along contiguous rows as an `i8×i8 → i32` dot product, with
+//!   both operands walked along contiguous rows as `i8×i8 → i32` dot products, with
 //!   the same per-output-feature requantization epilogue.
+//!
+//! # The integer core
+//!
+//! Both integer kernels run on two safe-Rust, autovectorized micro-kernels that
+//! take weight rows four at a time:
+//!
+//! * **4×16 register tiles** (`tile4`) — every full 16-column tile of a
+//!   convolution's output keeps four `[i32; 16]` accumulators live across the whole
+//!   reduction, reading 16 contiguous bytes of an `X` row and broadcasting one
+//!   weight per row at each step.
+//! * **4-row dot blocks** (`dot4`) — four dot products against one contiguous
+//!   column, 16 lanes per row. The `< 16`-column remainder of a convolution (all of
+//!   a batch-1 forward's late stages) is packed into a `k`-contiguous transpose and
+//!   reduced this way; the fully-connected layout already has that shape.
+//!
+//! Which micro-kernel an output element takes depends only on the shape. Products
+//! are formed in `i16` and widened into `i32`; weights of zero are multiplied like
+//! any other, so groups zeroed by a RADAR recovery cost full MACs. `docs/KERNELS.md`
+//! §3 has the blocking, the verified instruction sequence and the measurements.
 //!
 //! Activations enter the integer kernels through [`quantize_activations`], which uses
 //! a **power-of-two** per-tensor scale so that float values that are already dyadic
@@ -23,11 +42,12 @@
 //!
 //! # Threading
 //!
-//! The two integer kernels split their M panels (or, when there are fewer rows than
-//! workers, their N panels) across `std::thread::scope` workers — the same pattern
-//! `radar-core`'s `detect_parallel` uses for layer shards. The count comes from the
-//! caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS` environment knob (and
-//! an in-process override, [`set_gemm_threads`], used by the benchmarks). Every
+//! The two integer kernels split their output rows (or, when there are fewer rows
+//! than workers, their output columns) across `std::thread::scope` workers — the
+//! same pattern `radar-core`'s `detect_parallel` uses for layer shards. The count
+//! comes from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS`
+//! environment knob (and an in-process override, [`set_gemm_threads`], used by the
+//! benchmarks). Every
 //! output element is computed by exactly one worker with the same accumulation order
 //! as the single-threaded kernel, and integer arithmetic is exact, so **threaded and
 //! single-threaded runs are bit-identical** — pinned by the property tests in
@@ -57,16 +77,22 @@ const BLOCK_K: usize = 256;
 /// Columns of the right-hand operand per cache panel (the `n` blocking factor).
 ///
 /// One float panel is at most `BLOCK_K * BLOCK_N` floats (256 KiB) — sized to sit in
-/// a typical L2 while every row of the left operand streams over it. The `i8` panels
-/// of the integer kernels are 4× smaller still.
+/// a typical L2 while every row of the left operand streams over it. The integer
+/// core does not block on these panels; it only counts them ([`GEMM_PANELS`]).
 const BLOCK_N: usize = 256;
 
-/// Fixed width of the vectorizable inner tile of the integer kernels.
+/// Output columns per register tile of the integer GEMM core, and the lane count
+/// of its dot-form remainder.
 ///
-/// The hot loops process output columns (or dot-product lanes) in `chunks_exact`
-/// tiles of this many elements, so the compiler sees a constant trip count with no
-/// bounds checks and autovectorizes the widening `i8×i8 → i32` multiply-accumulate.
+/// Both micro-kernels run a constant-trip `LANES` loop over fixed-size arrays, so
+/// the compiler sees no bounds checks and autovectorizes the widening
+/// `i8×i8 → i32` multiply-accumulate; 16 `i32` lanes fill one 512-bit or two
+/// 256-bit vector registers.
 const LANES: usize = 16;
+
+/// Weight rows per register block of the integer GEMM core: a full tile keeps
+/// `ROWS × LANES` `i32` accumulators live across the whole reduction.
+const ROWS: usize = 4;
 
 /// Maximum reduction depth `k` the integer kernels accept.
 ///
@@ -228,46 +254,101 @@ pub fn gemm_f32(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
     out
 }
 
-/// `acc[j] += w * x[j]` over an `i8` row with a broadcast weight — the
-/// vectorizable micro-kernel of [`gemm_i8`].
-///
-/// Deliberately the *plain* unit-stride zip loop: given contiguous slices and a
-/// loop-invariant scalar, the loop vectorizer emits the widening integer SIMD we
-/// want (sign-extend → 16-bit multiply → widen → 32-bit add) on its own. Hand
-/// tiling this loop into fixed-width chunks made codegen strictly worse — see
-/// `docs/KERNELS.md` for the asm-level story.
-///
-/// `inline(never)`: inlining lets the loop vectorizer fuse this with the caller's
-/// loop over `k` and rebuild it around strided gathers/scatters across rows of `x`
-/// — measured ~2.7× slower than the clean per-row form this boundary preserves.
-#[inline(never)]
-fn saxpy_i8(acc: &mut [i32], x: &[i8], w: i16) {
-    debug_assert_eq!(acc.len(), x.len());
-    // The product is formed in i16 — any i8×i8 product fits (|−128×−128| = 16384 <
-    // 32767) — then widened to the i32 accumulator. The 16-bit multiply is what the
-    // baseline x86-64 (SSE2) and aarch64 vector ISAs can express directly, so the
-    // fixed-width tiles below compile to widening integer SIMD instead of scalar
-    // 32-bit multiplies.
-    for (a, &b) in acc.iter_mut().zip(x.iter()) {
-        *a += (w * b as i16) as i32;
-    }
-}
-
-/// Number of `k × n` panel blocks the `i8` GEMM core has executed — one increment
-/// per `(BLOCK_K, BLOCK_N)` tile per [`gemm_i8_panel`] invocation. Gated by the
-/// process-global observability level ([`radar_obs::set_global_level`]); at `Off`
-/// each micro-kernel call pays one relaxed load and a branch.
+/// Number of `(BLOCK_K × BLOCK_N)` panels the `i8` GEMM core has covered: each
+/// [`gemm_i8_panel`] invocation adds `⌈ncols / BLOCK_N⌉ · ⌈k / BLOCK_K⌉` for its
+/// column window. The register-blocked core no longer walks these panels, so this
+/// is a shape count kept comparable with earlier measurements, not a loop trip
+/// count. Gated by the process-global observability level
+/// ([`radar_obs::set_global_level`]); at `Off` each core call pays one relaxed
+/// load and a branch.
 pub static GEMM_PANELS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
 
 /// Number of `i8` GEMM entry-point calls ([`gemm_i8`] / [`gemm_i8_requant`] /
 /// [`linear_i8_requant`]), gated like [`GEMM_PANELS`].
 pub static GEMM_CALLS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
 
-/// Accumulates `W(rows×k) × X(k×n)` restricted to output columns
-/// `[col0, col0 + ncols)` into `acc` (`rows × ncols`, row-major), blocked over `k`
-/// and `n` panels. The shared core of the single-threaded, row-split and
-/// column-split integer paths.
-#[allow(clippy::too_many_arguments)] // a GEMM signature: operands, dims, panel window
+/// The weight rows `[i0, i0 + ROWS)` of a row-major `(rows × k)` matrix as one
+/// register block. Past the last row the block repeats row `rows - 1`, so a ragged
+/// final block runs the same kernel; callers store only its live rows.
+fn row_block(w: &[i8], k: usize, i0: usize, rows: usize) -> [&[i8]; ROWS] {
+    std::array::from_fn(|t| {
+        let i = (i0 + t).min(rows - 1);
+        &w[i * k..(i + 1) * k]
+    })
+}
+
+/// The 4×16 register tile: `W[block] × X[.., c..c + LANES]` over the whole depth
+/// `k = block[0].len()`, with `x` row-major at row stride `n`.
+///
+/// Each step reads 16 contiguous bytes of one `X` row and broadcasts one weight per
+/// block row; every product is formed in `i16` (any `i8×i8` product fits:
+/// `|−128 × −128| = 16384 < 32767`) and widened into that row's `i32` lane
+/// accumulator. The four accumulators are separate arrays on purpose: a
+/// `[[i32; LANES]; ROWS]` accumulator is not kept in registers and runs about
+/// 10× slower (`docs/KERNELS.md` §3).
+#[inline(always)]
+fn tile4(block: [&[i8]; ROWS], x: &[i8], n: usize, c: usize) -> [[i32; LANES]; ROWS] {
+    let [w0, w1, w2, w3] = block;
+    let (mut a0, mut a1, mut a2, mut a3) =
+        ([0i32; LANES], [0i32; LANES], [0i32; LANES], [0i32; LANES]);
+    for ((((x_row, &b0), &b1), &b2), &b3) in x.chunks_exact(n).zip(w0).zip(w1).zip(w2).zip(w3) {
+        let xs: &[i8; LANES] = x_row[c..c + LANES]
+            .try_into()
+            .expect("a full tile lies inside the row");
+        let (b0, b1, b2, b3) = (i16::from(b0), i16::from(b1), i16::from(b2), i16::from(b3));
+        for l in 0..LANES {
+            let v = i16::from(xs[l]);
+            a0[l] += i32::from(b0 * v);
+            a1[l] += i32::from(b1 * v);
+            a2[l] += i32::from(b2 * v);
+            a3[l] += i32::from(b3 * v);
+        }
+    }
+    [a0, a1, a2, a3]
+}
+
+/// The 4-row dot block: `[block[t] · col]` for the four rows of `block`, all
+/// contiguous and `col.len()` long.
+///
+/// Each row keeps [`LANES`] `i32` partial sums over 16-byte chunks (products formed
+/// in `i16`, as in [`tile4`]), folded at the end, with a scalar tail for the last
+/// `len % LANES` elements. Integer addition is associative, so the result is
+/// exactly the sequential dot product.
+#[inline(always)]
+fn dot4(block: [&[i8]; ROWS], col: &[i8]) -> [i32; ROWS] {
+    let [w0, w1, w2, w3] = block.map(|r| r.chunks_exact(LANES));
+    let mut cs = col.chunks_exact(LANES);
+    let (mut a0, mut a1, mut a2, mut a3) =
+        ([0i32; LANES], [0i32; LANES], [0i32; LANES], [0i32; LANES]);
+    for ((((xs, c0), c1), c2), c3) in (&mut cs).zip(w0).zip(w1).zip(w2).zip(w3) {
+        for l in 0..LANES {
+            let v = i16::from(xs[l]);
+            a0[l] += i32::from(i16::from(c0[l]) * v);
+            a1[l] += i32::from(i16::from(c1[l]) * v);
+            a2[l] += i32::from(i16::from(c2[l]) * v);
+            a3[l] += i32::from(i16::from(c3[l]) * v);
+        }
+    }
+    let mut sums = [a0, a1, a2, a3].map(|a| a.iter().sum::<i32>());
+    let tail = cs.remainder();
+    let done = col.len() - tail.len();
+    for (sum, row) in sums.iter_mut().zip(block) {
+        for (&a, &b) in tail.iter().zip(&row[done..]) {
+            *sum += i32::from(a) * i32::from(b);
+        }
+    }
+    sums
+}
+
+/// Computes `W(rows×k) × X(k×n)` restricted to output columns `[col0, col0 + ncols)`
+/// into `acc` (`rows × ncols`, row-major, overwritten). The shared core of the
+/// single-threaded, row-split and column-split integer paths.
+///
+/// Weight rows go four at a time. Every full 16-column tile of the window is a
+/// [`tile4`] read straight out of `X`; the `< 16`-column remainder is first packed
+/// into a `k`-contiguous transpose (`< 16·k` bytes) and reduced by [`dot4`]. Which
+/// path a column takes depends only on the shape.
+#[allow(clippy::too_many_arguments)] // a GEMM signature: operands, dims, column window
 fn gemm_i8_panel(
     w: &[i8],
     x: &[i8],
@@ -281,22 +362,33 @@ fn gemm_i8_panel(
     debug_assert_eq!(w.len(), rows * k);
     debug_assert_eq!(acc.len(), rows * ncols);
     GEMM_PANELS.add((ncols.div_ceil(BLOCK_N) * k.div_ceil(BLOCK_K)) as u64);
-    for jc in (0..ncols).step_by(BLOCK_N) {
-        let nc = BLOCK_N.min(ncols - jc);
-        for pc in (0..k).step_by(BLOCK_K) {
-            let kc = BLOCK_K.min(k - pc);
-            for i in 0..rows {
-                let w_panel = &w[i * k + pc..i * k + pc + kc];
-                let acc_row = &mut acc[i * ncols + jc..i * ncols + jc + nc];
-                for (p, &w_ip) in w_panel.iter().enumerate() {
-                    if w_ip == 0 {
-                        // Zero weights — including groups a RADAR recovery zeroed —
-                        // contribute nothing; integer zero-skip is exact.
-                        continue;
-                    }
-                    let x_row = &x[(pc + p) * n + col0 + jc..(pc + p) * n + col0 + jc + nc];
-                    saxpy_i8(acc_row, x_row, w_ip as i16);
-                }
+    if k == 0 || ncols == 0 || rows == 0 {
+        acc.fill(0);
+        return;
+    }
+    let full = ncols - ncols % LANES;
+    let mut packed = vec![0i8; (ncols - full) * k];
+    if !packed.is_empty() {
+        for (p, x_row) in x.chunks_exact(n).enumerate() {
+            for (j, &v) in x_row[col0 + full..col0 + ncols].iter().enumerate() {
+                packed[j * k + p] = v;
+            }
+        }
+    }
+    for i0 in (0..rows).step_by(ROWS) {
+        let block = row_block(w, k, i0, rows);
+        let live = ROWS.min(rows - i0);
+        for j0 in (0..full).step_by(LANES) {
+            let tile = tile4(block, x, n, col0 + j0);
+            for (t, lanes) in tile.iter().take(live).enumerate() {
+                let at = (i0 + t) * ncols + j0;
+                acc[at..at + LANES].copy_from_slice(lanes);
+            }
+        }
+        for (j, col) in packed.chunks_exact(k).enumerate() {
+            let dots = dot4(block, col);
+            for (t, &d) in dots.iter().take(live).enumerate() {
+                acc[(i0 + t) * ncols + full + j] = d;
             }
         }
     }
@@ -374,7 +466,7 @@ fn chunk_lengths(total: usize, parts: usize) -> Vec<usize> {
 }
 
 /// `C(m×n) = requantize(W(m×k) × X(k×n))` — the quantized-native convolution
-/// kernel: `i8` weight panel × `i8` activation panel, `i32` accumulation
+/// kernel: `i8` weight matrix × `i8` activation matrix, `i32` accumulation
 /// ([`gemm_i8`]), then a per-row epilogue `C[i][j] = acc * scales[i] + bias[i]`.
 ///
 /// `scales` holds either one uniform scale or one per output row (per output
@@ -383,8 +475,8 @@ fn chunk_lengths(total: usize, parts: usize) -> Vec<usize> {
 /// `bias` is an optional per-row addend, fused so no separate bias pass touches the
 /// output again.
 ///
-/// Work is split across `threads` scoped workers: over row panels when `m` is large
-/// enough, otherwise over column panels. Every output element is produced by exactly
+/// Work is split across `threads` scoped workers: over row ranges when `m` is large
+/// enough, otherwise over column ranges. Every output element is produced by exactly
 /// one worker with the same exact integer accumulation, so the result is
 /// **bit-identical for every thread count** — see the module docs.
 ///
@@ -519,31 +611,6 @@ pub fn gemm_i8_requant(
     out
 }
 
-/// `i8×i8 → i32` dot product over two contiguous rows, in [`LANES`]-wide tiles.
-///
-/// Uses one accumulator per lane summed at the end: integer addition is
-/// associative, so the result is exactly the sequential sum while the tiles
-/// autovectorize.
-#[inline]
-fn dot_i8(x: &[i8], w: &[i8]) -> i32 {
-    debug_assert_eq!(x.len(), w.len());
-    let mut lanes = [0i32; LANES];
-    let mut x_tiles = x.chunks_exact(LANES);
-    let mut w_tiles = w.chunks_exact(LANES);
-    for (a, b) in (&mut x_tiles).zip(&mut w_tiles) {
-        for l in 0..LANES {
-            // i16 product (always fits), widened into the i32 lane accumulator —
-            // the same SSE2/NEON-expressible shape as `saxpy_i8`.
-            lanes[l] += (a[l] as i16 * b[l] as i16) as i32;
-        }
-    }
-    let mut acc: i32 = lanes.iter().sum();
-    for (&a, &b) in x_tiles.remainder().iter().zip(w_tiles.remainder()) {
-        acc += a as i32 * b as i32;
-    }
-    acc
-}
-
 /// `C(rows×m) = requantize(X(rows×k) × W(m×k)ᵀ)` — the quantized-native
 /// fully-connected kernel over quantized activations `X` and `i8` weights `W` in
 /// their natural `(out, in)` storage order.
@@ -600,13 +667,13 @@ pub fn linear_i8_requant(
     }
     let mut out = vec![0.0f32; rows * m];
     let kernel = |x_rows: &[i8], out_rows: &mut [f32]| {
-        for (x_row, out_row) in x_rows
-            .chunks_exact(k.max(1))
-            .zip(out_rows.chunks_exact_mut(m))
-        {
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let dot = dot_i8(x_row, &w[j * k..(j + 1) * k]);
-                *o = dot as f32 * scale_of(j) + bias.map_or(0.0, |b| b[j]);
+        for (x_row, out_row) in x_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(m)) {
+            for j0 in (0..m).step_by(ROWS) {
+                let dots = dot4(row_block(w, k, j0, m), x_row);
+                // The zip stops at the last live output feature of a ragged block.
+                for (j, (o, &dot)) in (j0..).zip(out_row[j0..].iter_mut().zip(&dots)) {
+                    *o = dot as f32 * scale_of(j) + bias.map_or(0.0, |b| b[j]);
+                }
             }
         }
     };

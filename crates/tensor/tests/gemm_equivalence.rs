@@ -1,13 +1,17 @@
 //! Property tests pinning the GEMM kernels to their naive references, over ragged
-//! shapes that straddle the blocking factors (non-multiples of the `k`/`n` panel
-//! sizes included).
+//! shapes that straddle the blocking factors: the 256-wide `k`/`n` panels of the
+//! float kernel, and the 4-row × 16-column register tiles of the integer core
+//! (weight-row counts across two 4-row blocks, column counts at 15/16/17/31/33 so
+//! full tiles and the packed dot-form remainder meet in one call).
 //!
 //! Contracts proved here:
 //! - `gemm_f32` is *bit-identical* to the textbook triple loop — the kernel only
 //!   reorders which elements are worked on, never the additions into one element.
 //! - `gemm_i8` is *integer-exact*: equal to widening every operand to `i32` and
-//!   running the textbook loop. Integer addition is associative, so blocking and
-//!   zero-skipping cannot change a single bit.
+//!   running the textbook loop. Integer addition is associative, so register
+//!   tiling, lane-split dot products and the remainder transpose cannot change a
+//!   single bit — and no `i16` product or `i32` accumulator overflows even when
+//!   every operand is −128 at `k = 4096`.
 //! - `gemm_i8_requant` / `linear_i8_requant` threaded output is *bit-identical* to
 //!   single-threaded for any thread count (each output element is computed by exactly
 //!   one worker, from the same exact integer accumulator).
@@ -60,9 +64,22 @@ fn edge_extent() -> impl Strategy<Value = usize> {
     })
 }
 
-/// Small `m`, ragged `k`/`n`.
+/// An `n` extent: either [`edge_extent`], or a column count at the integer core's
+/// 16-column tile boundary (15, 16, 17, 31, 33), so full tiles and the packed
+/// remainder mix in one call.
+fn col_extent() -> impl Strategy<Value = usize> {
+    (0usize..2, edge_extent(), 0usize..5).prop_map(|(band, edge, pick)| {
+        if band == 0 {
+            edge
+        } else {
+            [15, 16, 17, 31, 33][pick]
+        }
+    })
+}
+
+/// Small `m` spanning one to three 4-row register blocks, ragged `k`/`n`.
 fn ragged_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (1usize..8, edge_extent(), edge_extent())
+    (1usize..13, edge_extent(), col_extent())
 }
 
 /// An `i8` weight drawn over the full quantized range (including 0, the value a RADAR
@@ -83,8 +100,9 @@ proptest! {
         prop_assert_eq!(gemm_f32(&a, &b, m, k, n), naive(&a, &b, m, k, n));
     }
 
-    /// The blocked, tiled, zero-skipping integer kernel is integer-exact: bit-equal
-    /// to the widen-to-i32 textbook loop over ragged panel-straddling shapes.
+    /// The register-tiled integer kernel is integer-exact: bit-equal to the
+    /// widen-to-i32 textbook loop over ragged shapes that straddle its row blocks,
+    /// column tiles and remainder.
     #[test]
     fn gemm_i8_equals_widen_to_i32_reference(
         (m, k, n) in ragged_dims(),
@@ -116,11 +134,35 @@ proptest! {
         prop_assert_eq!(single, multi);
     }
 
+    /// Column-split windows that start mid-tile (`col0` not a multiple of 16) still
+    /// produce the exact product: each worker's window is tiled and remaindered
+    /// relative to its own `col0`.
+    #[test]
+    fn column_split_windows_off_the_tile_grid_are_exact(
+        m in 1usize..3,
+        k in edge_extent(),
+        n in 33usize..200,
+        threads in 3usize..6,
+        wseed in prop::collection::vec(weight(), 64..65),
+        xseed in prop::collection::vec(weight(), 64..65),
+    ) {
+        // `gemm_i8_requant` splits columns into near-even chunks, the longer first.
+        let second_col0 = n / threads + usize::from(n % threads > 0);
+        prop_assume!(second_col0 % 16 != 0);
+        let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
+        let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
+        // |acc| ≤ 518 · 16384 < 2²⁴, so the unit-scale epilogue is exact.
+        let want: Vec<f32> = naive_i32(&w, &x, m, k, n).iter().map(|&v| v as f32).collect();
+        prop_assert_eq!(gemm_i8_requant(&w, &x, m, k, n, &[1.0], None, threads), want);
+    }
+
     /// Threaded fully-connected kernel is bit-identical to single-threaded over
-    /// ragged depths, including the `rows < threads` remainder handling.
+    /// ragged depths, including the `rows < threads` remainder handling, and both
+    /// equal the exact product (output features straddle the 4-row dot blocks; the
+    /// power-of-two scale keeps the epilogue exact).
     #[test]
     fn threaded_linear_requant_is_bit_identical_to_single_threaded(
-        (rows, k, m) in (1usize..6, 1usize..300, 1usize..10),
+        (rows, k, m) in (1usize..6, 1usize..300, 1usize..13),
         threads in 2usize..6,
         wseed in prop::collection::vec(weight(), 64..65),
         xseed in prop::collection::vec(weight(), 64..65),
@@ -130,7 +172,13 @@ proptest! {
         let scale = [0.03125f32];
         let single = linear_i8_requant(&x, &w, rows, k, m, &scale, None, 1);
         let multi = linear_i8_requant(&x, &w, rows, k, m, &scale, None, threads);
-        prop_assert_eq!(single, multi);
+        prop_assert_eq!(&single, &multi);
+        let wt: Vec<i8> = (0..k * m).map(|i| w[(i % m) * k + i / m]).collect();
+        let want: Vec<f32> = naive_i32(&x, &wt, rows, k, m)
+            .iter()
+            .map(|&v| v as f32 * scale[0])
+            .collect();
+        prop_assert_eq!(single, want);
     }
 
     /// The requantization epilogue tracks the infinitely-precise `acc·scale + bias`
@@ -186,4 +234,31 @@ proptest! {
         let wf: Vec<f32> = w.iter().map(|&q| q as f32).collect();
         prop_assert_eq!(native, naive(&wf, &x, m, k, n));
     }
+}
+
+/// The overflow corner: every operand −128 at depth `k = 4096`. Each `i8×i8`
+/// product is `16384`, which still fits the `i16` the micro-kernels multiply in,
+/// and every output is `4096 · 16384 = 2²⁶`, inside `i32` and exact in `f32`.
+/// Covered on the 4×16 tile path (`n = 16`, and `n = 17` mixing tile and
+/// remainder), the packed dot path (`n = 5`) and `linear_i8_requant`, with `m = 5`
+/// straddling two 4-row blocks.
+#[test]
+fn all_minus_128_operands_at_depth_4096_do_not_overflow() {
+    let (m, k) = (5usize, 4096usize);
+    let expected = (k * 16384) as i32;
+    let w = vec![-128i8; m * k];
+    for n in [16usize, 17, 5] {
+        let x = vec![-128i8; k * n];
+        let acc = gemm_i8(&w, &x, m, k, n);
+        assert!(acc.iter().all(|&v| v == expected), "gemm_i8 at n = {n}");
+        let out = gemm_i8_requant(&w, &x, m, k, n, &[1.0], None, 1);
+        assert!(
+            out.iter().all(|&v| v == expected as f32),
+            "gemm_i8_requant at n = {n}"
+        );
+    }
+    let rows = 3usize;
+    let x = vec![-128i8; rows * k];
+    let out = linear_i8_requant(&x, &w, rows, k, m, &[1.0], None, 1);
+    assert_eq!(out, vec![expected as f32; rows * m], "linear_i8_requant");
 }

@@ -1,8 +1,9 @@
-//! Property-based tests of the tensor substrate: linear-algebra identities and the
-//! im2col/col2im adjoint relation that the convolution backward pass relies on.
+//! Property-based tests of the tensor substrate: linear-algebra identities, the
+//! im2col/col2im adjoint relation that the convolution backward pass relies on, and
+//! the integer unfold `im2col_i8` against the float `im2col`.
 
 use proptest::prelude::*;
-use radar_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
+use radar_tensor::{col2im, im2col, im2col_i8, Conv2dGeometry, Tensor};
 
 fn small_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
     (1usize..9, 1usize..9)
@@ -85,5 +86,36 @@ proptest! {
         let back = col2im(&y, &geom, n, c, h, w);
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(&a, &b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
+    }
+
+    /// `im2col_i8(q)` equals `im2col(q as f32)` element for element: the integer
+    /// unfold's contiguous runs, strided gathers and skipped padding rows copy the
+    /// same values, and leave the same zeros, as the bounds-checked float gather.
+    /// Kernels 1/3/7, strides 1/2, padding 0–3, batch 1–3, non-square inputs.
+    #[test]
+    fn im2col_i8_matches_float_im2col(
+        n in 1usize..4,
+        c in 1usize..4,
+        kernel_pick in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..4,
+        (dh, dw) in (0usize..9, 0usize..9),
+        seed in prop::collection::vec(-128i32..128, 16..64),
+    ) {
+        let kernel = [1usize, 3, 7][kernel_pick];
+        // The smallest input the kernel fits once padded, plus a drawn margin.
+        let min_side = kernel.saturating_sub(2 * padding).max(1);
+        let (h, w) = (min_side + dh, min_side + dw);
+        let geom = Conv2dGeometry::new(kernel, kernel, stride, padding);
+        let q: Vec<i8> = (0..n * c * h * w).map(|i| seed[(i * 7 + 3) % seed.len()] as i8).collect();
+        let x = Tensor::from_vec(q.iter().map(|&v| f32::from(v)).collect(), &[n, c, h, w])
+            .expect("shape matches");
+        let float_cols = im2col(&x, &geom);
+        let int_cols = im2col_i8(&q, n, c, h, w, &geom);
+        prop_assert_eq!(int_cols.len(), float_cols.data().len());
+        for (i, (&a, &b)) in int_cols.iter().zip(float_cols.data()).enumerate() {
+            prop_assert!(f32::from(a) == b, "element {}: {} vs {} ({}x{} k{} s{} p{})",
+                i, a, b, h, w, kernel, stride, padding);
+        }
     }
 }
