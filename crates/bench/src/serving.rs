@@ -207,8 +207,8 @@ pub fn run(prepared: &mut Prepared, params: &ServeBenchParams) -> ServeBenchOutc
 /// Chrome `trace_event` export to `artifacts/results/TRACE_serve.json`.
 ///
 /// The emitted trace is validated before this returns: it must parse, and it must
-/// carry at least one span per inference worker plus the scrubber and rotation
-/// rows. A trace that fails validation is a bug, so this panics (CI runs it via
+/// carry at least one span per inference worker plus the scrubber, rotation and
+/// adversary rows. A trace that fails validation is a bug, so this panics (CI runs it via
 /// `run_serve --trace` and the panic fails the job).
 pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     let kind = prepared.kind;
@@ -225,7 +225,7 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     }
     .from_env()
     .with_obs(ObsLevel::Full);
-    // Arm the re-keying task so the trace shows the rotation track alongside the
+    // Arm re-keying so the trace shows the rotation row alongside the
     // worker, scrubber and adversary rows.
     cfg.rotate_every = 2;
 
@@ -271,7 +271,7 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
             summary.total_spans
         );
     }
-    for row in ["scrubber", "rotation"] {
+    for row in ["scrubber", "rotation", "adversary"] {
         assert!(
             summary.spans_on(row) >= 1,
             "trace is missing spans on the {row} row ({} spans total)",

@@ -14,11 +14,11 @@ pub enum Tid {
     Batcher,
     /// Inference worker `n`.
     Worker(u16),
-    /// The background scrubber.
+    /// The scrub sweep (the serve batcher runs it inline at fetch barriers).
     Scrubber,
-    /// The background re-keying task.
+    /// The re-keying tick (run inline by the serve batcher).
     Rotation,
-    /// The scripted adversary.
+    /// The scripted adversary's strikes (mounted inline by the serve batcher).
     Adversary,
 }
 

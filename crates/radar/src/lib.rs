@@ -23,8 +23,8 @@
 //! flat slot-ordered member permutation, a group-offset table and a per-weight ±1
 //! key-mask vector ([`LayerPlan`]), so every run-time pass is one sequential sweep over
 //! the layer's weights in fetch order — no per-group gathers, no allocations.
-//! [`RadarProtection::verify_layer`] and [`RadarProtection::detect_layers`] expose the
-//! incremental, fetch-path granularity, and [`RadarProtection::detect_parallel`]
+//! [`RadarProtection::detect_layers_with_scratch`] exposes the incremental, fetch-path
+//! granularity, and [`RadarProtection::detect_parallel`]
 //! shards the sweep across scoped worker threads (contiguous, weight-balanced layer
 //! ranges; one accumulator scratch per worker) for multi-core hosts.
 //!

@@ -400,30 +400,16 @@ impl RadarProtection {
         self.current.golden.storage_kb()
     }
 
-    /// The signatures of every group of `layer` from its current weights, via the
-    /// streaming plan of the current epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or its size changed since signing.
-    pub fn layer_signatures(&self, model: &QuantizedModel, layer: usize) -> Vec<u8> {
-        self.current
-            .plan
-            .layer(layer)
-            .signatures(model.layer_values(layer), self.config.signature_bits)
-    }
-
     /// Runs the full detection pass: recomputes every group signature from the model's
     /// current (possibly corrupted) weights and compares with the golden store.
-    ///
-    /// Equivalent to [`detect_layers`](Self::detect_layers) over all layers.
     ///
     /// # Panics
     ///
     /// Panics if `model` does not have the same layer sizes as the model used at
     /// construction time.
     pub fn detect(&self, model: &QuantizedModel) -> DetectionReport {
-        self.detect_layers(model, 0..self.current.layers.len())
+        let mut acc = Vec::new();
+        self.detect_layers_with_scratch(model, 0..self.current.layers.len(), &mut acc)
     }
 
     /// Verifies only the `layers` range — the incremental fetch-path check: callers
@@ -431,27 +417,16 @@ impl RadarProtection {
     /// to consume instead of rescanning the whole model per batch.
     ///
     /// Each layer is a single sequential sweep over its weights through the
-    /// [`VerifyPlan`]; one accumulator scratch is shared across the range, so the pass
-    /// performs a constant number of allocations regardless of group count.
+    /// [`VerifyPlan`], sharing the caller-owned accumulator scratch `acc` across the
+    /// range, so repeated per-layer calls (one per fetched layer) reuse one buffer
+    /// instead of allocating per call. `acc` is grown to the largest group count in
+    /// the range and never shrunk; size it with [`VerifyPlan::max_groups`] to cover
+    /// every layer up front.
     ///
     /// # Panics
     ///
     /// Panics if the range or the model's layer count/sizes disagree with the model
     /// used at construction time.
-    pub fn detect_layers(&self, model: &QuantizedModel, layers: Range<usize>) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.detect_layers_with_scratch(model, layers, &mut acc)
-    }
-
-    /// [`detect_layers`](Self::detect_layers) with a caller-owned accumulator scratch,
-    /// so repeated per-layer calls (one per fetched layer) reuse one buffer instead of
-    /// allocating per call. `acc` is grown to the largest group count in the range and
-    /// never shrunk; size it with [`VerifyPlan::max_groups`] to cover every layer up
-    /// front.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`detect_layers`](Self::detect_layers).
     pub fn detect_layers_with_scratch(
         &self,
         model: &QuantizedModel,
@@ -669,17 +644,6 @@ impl RadarProtection {
             report.merge(shard);
         }
         report
-    }
-
-    /// Verifies a single layer — the per-fetch granularity of
-    /// [`detect_layers`](Self::detect_layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or the model disagrees with the model used at
-    /// construction time.
-    pub fn verify_layer(&self, model: &QuantizedModel, layer: usize) -> DetectionReport {
-        self.detect_layers(model, layer..layer + 1)
     }
 
     /// Verifies one layer's signatures straight from raw weight values — bytes that are
@@ -1046,13 +1010,14 @@ mod tests {
         m.flip_bit(2, 5, MSB);
         m.flip_bit(7, 0, MSB);
         let full = radar.detect(&m);
+        let mut acc = Vec::new();
         let mut merged = DetectionReport::default();
         for layer in 0..m.num_layers() {
-            merged.merge(&radar.verify_layer(&m, layer));
+            merged.merge(&radar.detect_layers_with_scratch(&m, layer..layer + 1, &mut acc));
         }
         assert_eq!(full, merged);
         // The range form verifies exactly the requested layers.
-        let early = radar.detect_layers(&m, 0..3);
+        let early = radar.detect_layers_with_scratch(&m, 0..3, &mut acc);
         assert!(early.contains(2, radar.group_of(2, 5)));
         assert!(early.flagged.iter().all(|f| f.layer < 3));
     }
@@ -1062,7 +1027,10 @@ mod tests {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
         for layer in 0..m.num_layers() {
-            let sigs = radar.layer_signatures(&m, layer);
+            let sigs = radar
+                .plan()
+                .layer(layer)
+                .signatures(m.layer_values(layer), radar.config().signature_bits);
             for (g, &sig) in sigs.iter().enumerate() {
                 assert_eq!(sig, radar.golden().signature(layer, g));
             }
@@ -1078,7 +1046,10 @@ mod tests {
         for layer in 0..m.num_layers() {
             let from_values =
                 radar.verify_layer_values_with_scratch(layer, m.layer_values(layer), &mut acc);
-            assert_eq!(from_values, radar.verify_layer(&m, layer));
+            assert_eq!(
+                from_values,
+                radar.detect_layers_with_scratch(&m, layer..layer + 1, &mut Vec::new())
+            );
             assert_eq!(
                 from_values,
                 radar.verify_layer_values(layer, m.layer_values(layer))
@@ -1186,9 +1157,10 @@ mod tests {
         let mut radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
         m.flip_bit(2, 5, MSB);
         // Overlapping range checks both flag layer 2's group; the merge deduplicates.
-        let mut merged = radar.detect_layers(&m, 0..4);
-        merged.merge(&radar.detect_layers(&m, 2..6));
-        merged.merge(&radar.verify_layer(&m, 2));
+        let mut acc = Vec::new();
+        let mut merged = radar.detect_layers_with_scratch(&m, 0..4, &mut acc);
+        merged.merge(&radar.detect_layers_with_scratch(&m, 2..6, &mut acc));
+        merged.merge(&radar.detect_layers_with_scratch(&m, 2..3, &mut acc));
         assert_eq!(merged, radar.detect(&m));
         let reference_members = radar
             .plan()
@@ -1273,7 +1245,7 @@ mod tests {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
         let n = m.num_layers();
-        radar.detect_layers(&m, 0..n + 1);
+        radar.detect_layers_with_scratch(&m, 0..n + 1, &mut Vec::new());
     }
 
     #[test]

@@ -99,8 +99,9 @@ proptest! {
         // the boundary layers, plus a full-pass merge on top for maximal duplication.
         let n = sizes.len();
         let mid = split.min(n - 1);
-        let mut merged = radar.detect_layers(&model, 0..(mid + 1).min(n));
-        merged.merge(&radar.detect_layers(&model, mid.saturating_sub(1)..n));
+        let mut acc = Vec::new();
+        let mut merged = radar.detect_layers_with_scratch(&model, 0..(mid + 1).min(n), &mut acc);
+        merged.merge(&radar.detect_layers_with_scratch(&model, mid.saturating_sub(1)..n, &mut acc));
         merged.merge(&radar.detect(&model));
         let (full, expected_recovery) = radar_twin.detect_and_recover(&mut twin);
         prop_assert_eq!(&merged, &full, "merged overlapping ranges diverge from full detect");

@@ -35,7 +35,7 @@ pub struct ServeConfig {
     /// Layers verified per scrub step (clamped to the model's layer count; `0` means
     /// the whole model per step).
     pub scrub_layers: usize,
-    /// The background re-keying task performs one rotation action (begin a roll,
+    /// The re-keying step performs one rotation action (begin a roll,
     /// re-sign one layer, publish the next epoch, retire the previous one) every
     /// `rotate_every` dispatched batches; `0` disables key rotation. A full roll
     /// of an `L`-layer model therefore spans `L + 3` rotation ticks, during which

@@ -1,4 +1,4 @@
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
@@ -6,54 +6,55 @@ use radar_core::{KeyEpoch, RadarProtection};
 use radar_data::Dataset;
 use radar_memsim::{AttackTimeline, WeightDram};
 use radar_nn::argmax_rows;
-use radar_obs::{set_global_level, EventKind, Labels, Stopwatch, Tid, Track};
+use radar_obs::{set_global_level, EventKind, Labels, RotationKind, Stopwatch, Tid, Track};
 use radar_quant::QuantizedModel;
 
 use crate::config::ServeConfig;
 use crate::recovery::recover_in_dram;
 use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
 use crate::sync::{lock, read_lock, write_lock, FetchTicket, SnapshotSlot, VerifiedSnapshot};
-use crate::telemetry::{
-    metric, RequestRecord, RotationEvent, RotationEventKind, ServeOutcome, Telemetry,
-};
+use crate::telemetry::{metric, RequestRecord, RotationEvent, ServeOutcome, Telemetry};
 use crate::traffic::{Batch, Request, TrafficSchedule};
 
 /// Runs one complete serving session and returns its telemetry.
 ///
-/// Components, all scoped threads (no async runtime):
+/// Components (scoped threads, no async runtime):
 ///
-/// * a **traffic driver** submitting `schedule`'s requests into a bounded queue;
-/// * a **batcher** coalescing up to `max_batch` requests (waiting at most `max_wait`
-///   for stragglers) and dispatching batches to the workers — it owns the logical
-///   clock (the dispatched-batch count) that the adversary and scrubber key off;
-/// * `workers` **inference workers**, each owning one model replica in `models`. The
-///   batch's ticket holder runs *one* fused fetch-and-verify pass — each layer's
-///   bytes are copied out of the shared [`WeightDram`] while the ±1 mask
-///   scatter-adds into the signature accumulators (when `inpath_verify` is on) —
-///   recovers flagged groups in the image and in the snapshot before anyone reads
-///   it, and publishes the result as an epoch- and batch-stamped
+/// * a **traffic driver** thread submitting `schedule`'s requests into a bounded
+///   queue;
+/// * `workers` **inference worker** threads, each owning one model replica in
+///   `models`. The batch's ticket holder runs *one* fused fetch-and-verify pass —
+///   each layer's bytes are copied out of the shared [`WeightDram`] while the ±1
+///   mask scatter-adds into the signature accumulators (when `inpath_verify` is
+///   on) — recovers flagged groups in the image and in the snapshot before anyone
+///   reads it, and publishes the result as an epoch- and batch-stamped
 ///   `Arc<VerifiedSnapshot>`. Inference runs `forward_with_values` straight off the
 ///   shared `&[i8]` slices, with no worker-side mutation: the replica supplies only
 ///   the model's structure, scales and float-only layers;
-/// * a background **scrubber** sweeping `scrub_layers` layers of the DRAM image every
-///   `scrub_every` batches through [`RadarProtection::verify_layer_values`], merging
-///   its findings into the shared recovery path;
-/// * a background **re-keying task** (when [`rotate_every`](ServeConfig::rotate_every)
-///   is set) performing one rotation action every `rotate_every` batches — begin a
-///   roll, re-sign one layer under the next [`KeyEpoch`], publish, retire the
-///   previous epoch — while workers keep serving; each worker pins the epoch it
-///   observed at its fetch ticket and the protection accepts `{current, previous}`,
-///   so a publish never strands an in-flight verification;
-/// * an **adversary** mounting `timeline`'s rowhammer strikes at their scripted batch
-///   offsets.
+/// * the **batcher** (the calling thread) coalescing up to `max_batch` requests
+///   (waiting at most `max_wait` for stragglers) and dispatching batches to the
+///   workers. It owns the logical clock (the dispatched-batch count), and whenever
+///   a barrier step is due it waits at the fetch barrier and runs the steps inline,
+///   in this order:
+///   1. **strikes** — `timeline`'s rowhammer strikes scripted at or before this
+///      batch offset;
+///   2. **scrub** — every `scrub_every` batches, one sweep over `scrub_layers`
+///      layers of the DRAM image straight from the stored bytes (`scrub_sweep`),
+///      recovering anything it flags;
+///   3. **re-keying** — every [`rotate_every`](ServeConfig::rotate_every) batches,
+///      one rotation action: begin a roll, re-sign one layer under the next
+///      [`KeyEpoch`], publish, or retire the previous epoch. Each worker pins the
+///      epoch it observed at its fetch ticket and the protection accepts
+///      `{current, previous}`, so a publish never strands an in-flight
+///      verification.
 ///
 /// Weight fetches are ticketed in batch order through a [`FetchTicket`] (batch
-/// `b + 1` cannot fetch before batch `b` has fetched and recovered), and the
-/// adversary/scrubber only run at a fetch barrier; inference itself overlaps freely.
-/// Consequently every logical outcome — which batches served corrupted weights, the
-/// detecting batch, recovery counts, per-window served accuracy — is a pure function
-/// of `(models, schedule, timeline, config)`, independent of thread scheduling,
-/// provided batch composition itself is deterministic: either run with
+/// `b + 1` cannot fetch before batch `b` has fetched and recovered), and the barrier
+/// steps only run once every dispatched batch has fetched; inference itself overlaps
+/// freely. Consequently every logical outcome — which batches served corrupted
+/// weights, the detecting batch, recovery counts, per-window served accuracy — is a
+/// pure function of `(models, schedule, timeline, config)`, independent of thread
+/// scheduling, provided batch composition itself is deterministic: either run with
 /// [`strict_batching`](ServeConfig::strict_batching) (the benchmark scenarios do), or
 /// accept that a driver descheduled for longer than `max_wait` may split a batch.
 /// Wall-clock latency telemetry is genuinely measured, and only it varies between
@@ -64,34 +65,36 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///
 /// # Observability
 ///
-/// Every thread records through its own [`radar_obs::ObsShard`], flushed at the
-/// barrier points that already order the run (workers once per batch after the
-/// ticket publish, the background tasks once per tick). Journal events for each
-/// `(batch, track)` key are emitted by exactly one thread — the ticket-holding
-/// worker for the fetch track, the single scrubber / rotation / adversary thread
-/// for theirs — which is what makes the journal's canonical order (a stable sort
-/// by `(batch, track)`) independent of flush interleaving. At
-/// [`radar_obs::ObsLevel::Full`] the hot sections additionally record spans
-/// (ticket wait, verified fetch, inference, scrub sweeps, rotation ticks, strike
-/// mounts) for the Chrome trace exporter.
+/// Each worker records through its own [`radar_obs::ObsShard`], flushed once per
+/// batch after the ticket publish; the batcher keeps one shard per barrier role
+/// (adversary, scrubber, rotation), so the trace shows one row per role. Journal
+/// events for each `(batch, track)` key have exactly one emitter — the
+/// ticket-holding worker for the fetch track, the batcher's strike, scrub or
+/// re-keying step for theirs — which is what makes the journal's canonical order (a
+/// stable sort by `(batch, track)`) independent of flush interleaving. At
+/// [`radar_obs::ObsLevel::Full`] the hot sections additionally record spans (ticket
+/// wait, verified fetch, inference, scrub sweeps, rotation ticks, strike mounts) for
+/// the Chrome trace exporter.
 ///
-/// Strikes scripted at batch offsets the run never reaches do not fire; the adversary
-/// journals a `strike_never_fired` event (and bumps the
-/// [`metric::STRIKES_NEVER_FIRED`] counter) for whatever is left over when service
-/// ends.
+/// Strikes scripted at batch offsets the run never reaches do not fire. When service
+/// ends, whatever is left over is journaled as one `strike_never_fired` event at the
+/// last batch a strike was mounted (batch 0 if none was), and counted in
+/// [`metric::STRIKES_NEVER_FIRED`].
 ///
 /// # Panics
 ///
 /// Panics if `models` does not provide exactly `config.workers` replicas, `eval` is
 /// empty, the configuration is invalid, or in-path verification / scrubbing is
-/// requested without a `protection`.
+/// requested without a `protection`. A panic in a barrier step (for example a scrub
+/// that finds a layer whose size changed since signing) stops dispatch at once and
+/// propagates out of `serve` with its own message: no further batch is served.
 pub fn serve(
     models: Vec<QuantizedModel>,
     protection: Option<RadarProtection>,
     dram: WeightDram,
     eval: &Dataset,
     schedule: &TrafficSchedule,
-    timeline: AttackTimeline,
+    mut timeline: AttackTimeline,
     config: &ServeConfig,
 ) -> ServeOutcome {
     config.validate();
@@ -113,8 +116,6 @@ pub fn serve(
         protection.is_some() || config.rotate_every == 0,
         "key rotation requires a protection"
     );
-    let scrub_enabled = config.scrub_every > 0;
-    let rotation_enabled = config.rotate_every > 0;
 
     // Arm the process-global gate so `GlobalCounter` kernels instrumented deeper in
     // the stack (gemm panels, verify sweeps) follow this run's level.
@@ -122,6 +123,11 @@ pub fn serve(
 
     let samples = schedule.sample_indices(eval.len());
     let event_offsets = timeline.batch_offsets();
+    let num_layers = dram.num_layers();
+    let scrub_step = match config.scrub_layers {
+        0 => num_layers,
+        layers => layers.min(num_layers),
+    };
     let dram = RwLock::new(dram);
     let protection = protection.map(RwLock::new);
     let telemetry = Telemetry::with_config(config.obs);
@@ -136,12 +142,6 @@ pub fn serve(
     let (req_tx, req_rx) = sync_channel::<Request>(config.queue_capacity);
     let (batch_tx, batch_rx) = sync_channel::<Batch>(config.workers);
     let batch_rx = Mutex::new(batch_rx);
-    let (scrub_tx, scrub_rx) = channel::<usize>();
-    let (scrub_ack_tx, scrub_ack_rx) = channel::<()>();
-    let (rot_tx, rot_rx) = channel::<usize>();
-    let (rot_ack_tx, rot_ack_rx) = channel::<()>();
-    let (adv_tx, adv_rx) = channel::<usize>();
-    let (adv_ack_tx, adv_ack_rx) = channel::<()>();
 
     let mut batches = 0usize;
     std::thread::scope(|scope| {
@@ -159,131 +159,6 @@ pub fn serve(
                 }
             }
         });
-
-        // Adversary driver: owns the timeline, strikes when the batcher's logical
-        // clock reaches each scripted offset.
-        {
-            let dram = &dram;
-            let telemetry = &telemetry;
-            let mut timeline = timeline;
-            scope.spawn(move || {
-                let mut shard = telemetry.shard(Tid::Adversary);
-                let mut last_batch = 0usize;
-                for batch in adv_rx {
-                    last_batch = batch;
-                    while let Some(event) = timeline.pop_due(batch) {
-                        let timer = shard.span_start();
-                        let mount = {
-                            let mut dram = write_lock(dram);
-                            event.mount(&mut dram)
-                        };
-                        shard.span_end(timer, "strike_mount", batch as u64);
-                        telemetry.strike(batch, mount);
-                    }
-                    if adv_ack_tx.send(()).is_err() {
-                        break;
-                    }
-                }
-                if timeline.remaining() > 0 {
-                    // Scripted strikes whose batch offsets the run never reached: a
-                    // structured journal event + counter, so harnesses can assert on
-                    // it instead of scraping stderr.
-                    telemetry.strike_never_fired(last_batch, timeline.remaining());
-                }
-                telemetry.flush(&mut shard);
-            });
-        }
-
-        // Background scrubber: verifies a rotating slice of the DRAM image between
-        // batches, straight from the stored bytes (no model replica involved).
-        if let (true, Some(prot)) = (scrub_enabled, protection.as_ref()) {
-            let dram = &dram;
-            let telemetry = &telemetry;
-            let scrub_layers = config.scrub_layers;
-            scope.spawn(move || {
-                let mut shard = telemetry.shard(Tid::Scrubber);
-                let num_layers = read_lock(dram).num_layers();
-                let step = if scrub_layers == 0 {
-                    num_layers
-                } else {
-                    scrub_layers.min(num_layers)
-                };
-                let mut cursor = 0usize;
-                let mut buf: Vec<i8> = Vec::new();
-                let mut acc: Vec<i32> = Vec::new();
-                for batch in scrub_rx {
-                    let started = Stopwatch::start();
-                    let timer = shard.span_start();
-                    let flagged = {
-                        let dram = read_lock(dram);
-                        let prot = read_lock(prot);
-                        scrub_sweep(&dram, &prot, cursor, step, &mut buf, &mut acc)
-                    };
-                    shard.span_end(timer, "scrub_sweep", batch as u64);
-                    cursor = (cursor + step) % num_layers;
-                    if flagged.attack_detected() {
-                        telemetry.detection(batch, true, flagged.num_flagged());
-                        let mut dram = write_lock(dram);
-                        let mut prot = write_lock(prot);
-                        telemetry.recovered(
-                            batch,
-                            Track::Scrub,
-                            recover_in_dram(&mut prot, &mut dram, &flagged),
-                        );
-                    }
-                    shard.force_add(metric::SCRUB_NS, Labels::none(), started.elapsed_ns());
-                    telemetry.flush(&mut shard);
-                    if scrub_ack_tx.send(()).is_err() {
-                        break;
-                    }
-                }
-                telemetry.flush(&mut shard);
-            });
-        }
-
-        // Background re-keying task: one rotation action per tick of its cadence,
-        // driving the protection's epoch state machine (begin → re-sign each layer →
-        // publish → retire) under the write locks while workers keep serving between
-        // ticks. Recovery work done by the pre-sign check folds into the run totals;
-        // the tick itself is reported as a logical rotation event.
-        if let (true, Some(prot)) = (rotation_enabled, protection.as_ref()) {
-            let dram = &dram;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                let mut shard = telemetry.shard(Tid::Rotation);
-                let mut buf: Vec<i8> = Vec::new();
-                let mut acc: Vec<i32> = Vec::new();
-                for batch in rot_rx {
-                    let timer = shard.span_start();
-                    let action = {
-                        let mut dram = write_lock(dram);
-                        let mut prot = write_lock(prot);
-                        rotation_step(&mut dram, &mut prot, &mut buf, &mut acc, |_, _| {})
-                    };
-                    shard.span_end(timer, "rotation_tick", batch as u64);
-                    let kind = match action {
-                        RotationAction::Began(epoch) => RotationEventKind::Began(epoch),
-                        RotationAction::Resigned { layer, recovered } => {
-                            if recovered.groups_zeroed > 0 {
-                                telemetry.recovered(batch, Track::Rotate, recovered);
-                            }
-                            RotationEventKind::Resigned {
-                                layer,
-                                groups_recovered: recovered.groups_zeroed,
-                            }
-                        }
-                        RotationAction::Published(epoch) => RotationEventKind::Published(epoch),
-                        RotationAction::Retired(epoch) => RotationEventKind::Retired(epoch),
-                    };
-                    telemetry.rotation(RotationEvent { batch, kind });
-                    telemetry.flush(&mut shard);
-                    if rot_ack_tx.send(()).is_err() {
-                        break;
-                    }
-                }
-                telemetry.flush(&mut shard);
-            });
-        }
 
         // Inference workers: verified fetch in batch order, overlapped inference.
         // The ticket holder builds the batch's shared snapshot in one fused
@@ -466,8 +341,18 @@ pub fn serve(
             });
         }
 
-        // Batcher (this thread): coalesce, run the logical clock, dispatch.
-        let mut next_event = event_offsets.iter().peekable();
+        // Batcher (this thread): coalesce, run the logical clock, dispatch — and at
+        // each due fetch barrier run the barrier steps inline, in a fixed order:
+        // scripted strikes, then one scrub sweep, then one re-keying tick. Each
+        // step records through its own role's shard, so the trace keeps one row
+        // per role and every journal `(batch, track)` key has a single emitter.
+        let mut adversary = telemetry.shard(Tid::Adversary);
+        let mut scrubber = telemetry.shard(Tid::Scrubber);
+        let mut rekeyer = telemetry.shard(Tid::Rotation);
+        let mut last_strike_batch = 0usize;
+        let mut scrub_cursor = 0usize;
+        let mut buf: Vec<i8> = Vec::new();
+        let mut acc: Vec<i32> = Vec::new();
         while let Ok(first) = req_rx.recv() {
             let mut requests = vec![first];
             let waited = Stopwatch::start();
@@ -489,29 +374,88 @@ pub fn serve(
                     }
                 }
             }
-            // Scripted strikes due before this batch is dispatched.
-            while next_event.peek().is_some_and(|&&offset| offset <= batches) {
-                next_event.next();
+            // Due when the next unfired strike's offset has been reached.
+            let strike_due = event_offsets
+                .get(timeline.len() - timeline.remaining())
+                .is_some_and(|&offset| offset <= batches);
+            let scrub_due = batches > 0 && batches.checked_rem(config.scrub_every) == Some(0);
+            let rotate_due = batches > 0 && batches.checked_rem(config.rotate_every) == Some(0);
+            if strike_due || scrub_due || rotate_due {
+                // Every dispatched batch has fetched (and recovered), so the steps
+                // below land exactly between batch `batches - 1` and `batches`.
                 fetched.wait_at_least(batches);
-                if adv_tx.send(batches).is_ok() {
-                    let _ = adv_ack_rx.recv();
+            }
+            let index = batches as u64;
+            if strike_due {
+                last_strike_batch = batches;
+                while let Some(event) = timeline.pop_due(batches) {
+                    let timer = adversary.span_start();
+                    let mount = event.mount(&mut write_lock(&dram));
+                    adversary.span_end(timer, "strike_mount", index);
+                    telemetry.strike(batches, mount);
                 }
             }
-            // Scrub cadence: one sweep step between batches, every `scrub_every`.
-            if scrub_enabled && batches > 0 && batches % config.scrub_every == 0 {
-                fetched.wait_at_least(batches);
-                if scrub_tx.send(batches).is_ok() {
-                    let _ = scrub_ack_rx.recv();
+            // One sweep step over a rotating slice of the DRAM image, straight from
+            // the stored bytes (no model replica involved).
+            if let (true, Some(prot)) = (scrub_due, protection.as_ref()) {
+                let started = Stopwatch::start();
+                let timer = scrubber.span_start();
+                let flagged = scrub_sweep(
+                    &read_lock(&dram),
+                    &read_lock(prot),
+                    scrub_cursor,
+                    scrub_step,
+                    &mut buf,
+                    &mut acc,
+                );
+                scrubber.span_end(timer, "scrub_sweep", index);
+                scrub_cursor = (scrub_cursor + scrub_step) % num_layers;
+                if flagged.attack_detected() {
+                    telemetry.detection(batches, true, flagged.num_flagged());
+                    let mut image = write_lock(&dram);
+                    let recovery = recover_in_dram(&mut write_lock(prot), &mut image, &flagged);
+                    telemetry.recovered(batches, Track::Scrub, recovery);
                 }
+                scrubber.force_add(metric::SCRUB_NS, Labels::none(), started.elapsed_ns());
             }
-            // Rotation cadence: one re-keying action between batches, every
-            // `rotate_every` (after any scrub step, so a tick's pre-sign check sees
-            // the scrubber's recoveries, never the reverse).
-            if rotation_enabled && batches > 0 && batches % config.rotate_every == 0 {
-                fetched.wait_at_least(batches);
-                if rot_tx.send(batches).is_ok() {
-                    let _ = rot_ack_rx.recv();
-                }
+            // One re-keying action (begin → re-sign each layer → publish → retire),
+            // after any scrub step, so a tick's pre-sign check sees the sweep's
+            // recoveries, never the reverse. Recovery done by the pre-sign check
+            // folds into the run totals.
+            if let (true, Some(prot)) = (rotate_due, protection.as_ref()) {
+                let timer = rekeyer.span_start();
+                let action = rotation_step(
+                    &mut write_lock(&dram),
+                    &mut write_lock(prot),
+                    &mut buf,
+                    &mut acc,
+                    |_, _| {},
+                );
+                rekeyer.span_end(timer, "rotation_tick", index);
+                let kind = match action {
+                    RotationAction::Began(epoch) => RotationKind::Began {
+                        epoch: epoch.index(),
+                    },
+                    RotationAction::Resigned { layer, recovered } => {
+                        if recovered.groups_zeroed > 0 {
+                            telemetry.recovered(batches, Track::Rotate, recovered);
+                        }
+                        RotationKind::Resigned {
+                            layer: layer as u64,
+                            groups_recovered: recovered.groups_zeroed as u64,
+                        }
+                    }
+                    RotationAction::Published(epoch) => RotationKind::Published {
+                        epoch: epoch.index(),
+                    },
+                    RotationAction::Retired(epoch) => RotationKind::Retired {
+                        epoch: epoch.index(),
+                    },
+                };
+                telemetry.rotation(RotationEvent {
+                    batch: batches,
+                    kind,
+                });
             }
             if batch_tx
                 .send(Batch {
@@ -524,10 +468,20 @@ pub fn serve(
             }
             batches += 1;
         }
+        if timeline.remaining() > 0 {
+            // Scripted strikes whose batch offsets the run never reached: a
+            // structured journal event + counter, so harnesses can assert on it
+            // instead of scraping stderr.
+            telemetry.strike_never_fired(last_strike_batch, timeline.remaining());
+        }
+        for shard in [&mut adversary, &mut scrubber, &mut rekeyer] {
+            telemetry.flush(shard);
+        }
+        // Both channel ends are moved into this closure, so a barrier step that
+        // panics also disconnects them on unwind: the driver and the workers exit
+        // and the panic leaves `serve` instead of waiting out the remaining traffic.
+        drop(req_rx);
         drop(batch_tx);
-        drop(scrub_tx);
-        drop(rot_tx);
-        drop(adv_tx);
     });
 
     telemetry.finish(batches, config.workers, config.window)

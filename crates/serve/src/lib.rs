@@ -17,32 +17,36 @@
 //! # Architecture (threads, no async runtime)
 //!
 //! ```text
-//! driver ──bounded queue──▶ batcher ──▶ worker pool (verified fetch + inference)
-//!                             │  ▲            │
-//!                  logical    │  │ fetch      ├── shared WeightDram   (RwLock)
-//!                  clock      ▼  │ barrier    └── shared RadarProtection (RwLock)
-//!                adversary / scrubber (strike / sweep between batches)
+//! driver ──bounded queue──▶ batcher ──batches──▶ worker pool
+//!                             │  ▲                 ├── shared WeightDram       (RwLock)
+//!                   at a due  │  │ fetch           └── shared RadarProtection  (RwLock)
+//!                    barrier  ▼  │ barrier
+//!         strikes → scrub sweep → re-keying tick
+//!            (inline, on the batcher thread)
 //! ```
 //!
 //! [`serve`](engine::serve) wires the components: a bounded request queue feeds a
-//! batcher that coalesces up to `max_batch` requests (waiting at most `max_wait`);
-//! workers re-fetch the weights from the shared [`WeightDram`](radar_memsim::WeightDram)
-//! for every batch, verifying layer by layer in the fetch path; a background scrubber
-//! sweeps the DRAM image incrementally between batches; a scripted adversary mounts
-//! [`AttackTimeline`](radar_memsim::AttackTimeline) strikes mid-service. Recovery
-//! zeroes flagged groups directly in the DRAM image (and refreshes the golden
-//! signatures) without stopping service. When [`ServeConfig::rotate_every`] is set, a
-//! background re-keying task additionally rolls the protection to a fresh
-//! [`KeyEpoch`](radar_core::KeyEpoch) — one layer re-signed per tick, publish, retire
-//! — while workers keep serving: each worker pins the epoch it observed at its fetch
-//! ticket and verification accepts `{current, previous}` across the publish
-//! ([`RotationEvent`]s record the roll in telemetry).
+//! batcher that coalesces up to `max_batch` requests (waiting at most `max_wait`).
+//! For each batch, the worker holding its fetch ticket copies every layer out of the
+//! shared [`WeightDram`](radar_memsim::WeightDram) while verifying it in the same
+//! pass, recovers anything flagged, and publishes the result as the batch's shared
+//! snapshot, which inference reads in place. Between batches, at a fetch barrier, the batcher
+//! itself runs the scripted adversary's
+//! [`AttackTimeline`](radar_memsim::AttackTimeline) strikes, an incremental scrub
+//! sweep over the DRAM image and — when [`ServeConfig::rotate_every`] is set — one
+//! re-keying tick that rolls the protection to a fresh
+//! [`KeyEpoch`](radar_core::KeyEpoch) (one layer re-signed per tick, publish,
+//! retire). Recovery zeroes flagged groups directly in the DRAM image (and
+//! refreshes the golden signatures) without stopping service; each worker pins the
+//! epoch it observed at its fetch ticket and verification accepts
+//! `{current, previous}` across a publish ([`RotationEvent`]s record the roll in
+//! telemetry).
 //!
-//! Weight fetches are ticketed in batch order, the adversary/scrubber only run at
-//! fetch barriers, and [`ServeConfig::strict_batching`] pins batch composition to the
-//! request stream, so every *logical* outcome of a run — who served corrupted
-//! weights, when detection fired, the accuracy windows — replays deterministically
-//! for a fixed seed; only the measured wall-clock telemetry varies.
+//! Weight fetches are ticketed in batch order, the barrier steps only run when every
+//! dispatched batch has fetched, and [`ServeConfig::strict_batching`] pins batch
+//! composition to the request stream, so every *logical* outcome of a run — who
+//! served corrupted weights, when detection fired, the accuracy windows — replays
+//! deterministically for a fixed seed; only the measured wall-clock telemetry varies.
 
 mod config;
 mod engine;
@@ -57,12 +61,13 @@ pub use config::ServeConfig;
 pub use engine::{replicas, serve};
 // The latency histogram was promoted into `radar-obs`; re-exported so existing
 // `radar_serve::LatencyHistogram` consumers keep compiling. The observability
-// config types travel with `ServeConfig::obs`.
-pub use radar_obs::{LatencyHistogram, ObsConfig, ObsLevel, ObsReport};
+// config types travel with `ServeConfig::obs`, and `RotationKind` is the type of
+// `RotationEvent::kind`.
+pub use radar_obs::{LatencyHistogram, ObsConfig, ObsLevel, ObsReport, RotationKind};
 pub use recovery::{recover_in_dram, recover_in_dram_traced};
 pub use telemetry::{
     metric, AccuracyWindow, AttackStrike, AttackSummary, DetectionEvent, RequestRecord,
-    RotationEvent, RotationEventKind, ServeOutcome, Telemetry, TimeToDetect,
+    RotationEvent, ServeOutcome, Telemetry, TimeToDetect,
 };
 pub use traffic::TrafficSchedule;
 

@@ -230,7 +230,7 @@ pub enum Op {
     WorkerServe(usize),
     /// The scrubber verifies its due sweep slice of the DRAM image.
     ScrubVerify,
-    /// The scrubber recovers what its sweep flagged and acknowledges the batcher.
+    /// The scrubber recovers what its sweep flagged, completing its barrier step.
     ScrubRecover,
     /// The re-keying task performs its due rotation tick (one action of the epoch
     /// state machine: begin / re-sign one layer / publish / retire).
@@ -358,7 +358,7 @@ struct State {
     rotation_recovered_groups: usize,
 }
 
-/// The batch offsets at which the batcher releases each background task's ticks.
+/// The batch offsets at which the batcher runs each barrier step's ticks.
 struct Cadence {
     sweeps: Vec<usize>,
     rotations: Vec<usize>,

@@ -80,7 +80,7 @@ pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers
     }
 }
 
-/// What one tick of the background re-keying task did.
+/// What one re-keying tick did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RotationAction {
     /// A roll to the returned epoch began (keys derived, placeholder store allocated).

@@ -11,7 +11,6 @@
 //! along in [`ServeOutcome::obs`] for exporters and replay tests.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use radar_core::{KeyEpoch, RecoveryReport};
 use radar_memsim::MountReport;
@@ -78,7 +77,7 @@ pub struct AttackStrike {
 pub struct DetectionEvent {
     /// Batch index (logical clock) the detecting pass is attributed to.
     pub batch: usize,
-    /// Whether the background scrubber (rather than the in-path check) detected it.
+    /// Whether the scrub sweep (rather than the in-path check) detected it.
     pub via_scrub: bool,
     /// Number of groups flagged by the pass.
     pub groups_flagged: usize,
@@ -86,7 +85,7 @@ pub struct DetectionEvent {
     pub at_seconds: f64,
 }
 
-/// One action of the background re-keying task, on the batcher's logical clock.
+/// One re-keying tick, on the batcher's logical clock.
 ///
 /// Deliberately wall-clock-free: rotation progress is part of a run's *logical*
 /// outcome, so the event stream of a seeded run must be identical across replays.
@@ -95,71 +94,13 @@ pub struct RotationEvent {
     /// Batch index (logical clock) the rotation tick fired at.
     pub batch: usize,
     /// What the tick did.
-    pub kind: RotationEventKind,
+    pub kind: RotationKind,
 }
 
-/// The four actions a rotation tick can take (see `steps::rotation_step`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RotationEventKind {
-    /// A roll to the given epoch began.
-    Began(KeyEpoch),
-    /// One layer was re-signed under the pending epoch (after recovering
-    /// `groups_recovered` corrupted groups found by the pre-sign check).
-    Resigned {
-        /// The re-signed layer.
-        layer: usize,
-        /// Groups the pre-sign check recovered in that layer.
-        groups_recovered: usize,
-    },
-    /// The fully re-signed epoch was published as current.
-    Published(KeyEpoch),
-    /// The previous epoch's acceptance window closed.
-    Retired(KeyEpoch),
-}
-
-impl RotationEventKind {
-    /// The journal representation of this rotation action.
-    fn to_journal(self) -> RotationKind {
-        match self {
-            RotationEventKind::Began(epoch) => RotationKind::Began {
-                epoch: epoch.index(),
-            },
-            RotationEventKind::Resigned {
-                layer,
-                groups_recovered,
-            } => RotationKind::Resigned {
-                layer: layer as u64,
-                groups_recovered: groups_recovered as u64,
-            },
-            RotationEventKind::Published(epoch) => RotationKind::Published {
-                epoch: epoch.index(),
-            },
-            RotationEventKind::Retired(epoch) => RotationKind::Retired {
-                epoch: epoch.index(),
-            },
-        }
-    }
-
-    /// Reconstructs the serve-side kind from its journal representation.
-    fn from_journal(kind: RotationKind) -> Self {
-        match kind {
-            RotationKind::Began { epoch } => RotationEventKind::Began(KeyEpoch::new(epoch)),
-            RotationKind::Resigned {
-                layer,
-                groups_recovered,
-            } => RotationEventKind::Resigned {
-                layer: layer as usize,
-                groups_recovered: groups_recovered as usize,
-            },
-            RotationKind::Published { epoch } => RotationEventKind::Published(KeyEpoch::new(epoch)),
-            RotationKind::Retired { epoch } => RotationEventKind::Retired(KeyEpoch::new(epoch)),
-        }
-    }
-}
-
-/// Thread-shared telemetry collector: workers, the scrubber, the re-keying task and
-/// the adversary all record into it — either through their own [`ObsShard`] (hot
-/// paths) or through the shared convenience methods below (rare events) — and
+/// Thread-shared telemetry collector: the workers and the batcher's barrier steps
+/// (strikes, scrub sweeps, re-keying ticks) all record into it — either through
+/// their own [`ObsShard`] (hot paths) or through the shared convenience methods
+/// below (rare events) — and
 /// [`finish`](Telemetry::finish) folds everything into a [`ServeOutcome`].
 #[derive(Debug)]
 pub struct Telemetry {
@@ -193,12 +134,6 @@ impl Telemetry {
             shared,
             completions: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Seconds elapsed since serving started.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.core.elapsed_seconds()
     }
 
     /// Creates a per-thread shard bound to this telemetry's session (level and
@@ -287,14 +222,14 @@ impl Telemetry {
         });
     }
 
-    /// Records a rotation tick (only the re-keying task appends, so the journal's
-    /// rotate track is already in logical-clock order).
+    /// Records a rotation tick (only the batcher's re-keying step appends, so the
+    /// journal's rotate track is already in logical-clock order).
     pub fn rotation(&self, event: RotationEvent) {
         self.with_shared(|shard| {
             shard.event(
                 event.batch as u64,
                 Track::Rotate,
-                EventKind::Rotation(event.kind.to_journal()),
+                EventKind::Rotation(event.kind),
             );
         });
     }
@@ -311,27 +246,6 @@ impl Telemetry {
                     weights_zeroed: recovery.weights_zeroed as u64,
                 },
             );
-        });
-    }
-
-    /// Adds in-path verification time (fetch-path signature checks).
-    pub fn add_verify_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::VERIFY_NS, Labels::none(), elapsed.as_nanos() as u64);
-        });
-    }
-
-    /// Adds background-scrub time.
-    pub fn add_scrub_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::SCRUB_NS, Labels::none(), elapsed.as_nanos() as u64);
-        });
-    }
-
-    /// Adds pure inference (forward-pass) time.
-    pub fn add_infer_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::INFER_NS, Labels::none(), elapsed.as_nanos() as u64);
         });
     }
 
@@ -389,7 +303,7 @@ impl Telemetry {
                 }),
                 EventKind::Rotation(kind) => rotations.push(RotationEvent {
                     batch: event.batch as usize,
-                    kind: RotationEventKind::from_journal(kind),
+                    kind,
                 }),
                 EventKind::Recover {
                     groups_zeroed,
@@ -573,7 +487,7 @@ pub struct ServeOutcome {
     pub attack: Option<AttackSummary>,
     /// Every detection event, in logical order.
     pub detections: Vec<DetectionEvent>,
-    /// Every rotation tick of the background re-keying task, in logical order
+    /// Every re-keying tick, in logical order
     /// (empty when rotation is disabled).
     pub rotations: Vec<RotationEvent>,
     /// Detection latency for the first strike (`None` when nothing was detected or
@@ -613,7 +527,7 @@ impl ServeOutcome {
     pub fn epochs_published(&self) -> usize {
         self.rotations
             .iter()
-            .filter(|e| matches!(e.kind, RotationEventKind::Published(_)))
+            .filter(|e| matches!(e.kind, RotationKind::Published { .. }))
             .count()
     }
 
@@ -621,7 +535,7 @@ impl ServeOutcome {
     #[must_use]
     pub fn last_published_epoch(&self) -> Option<KeyEpoch> {
         self.rotations.iter().rev().find_map(|e| match e.kind {
-            RotationEventKind::Published(epoch) => Some(epoch),
+            RotationKind::Published { epoch } => Some(KeyEpoch::new(epoch)),
             _ => None,
         })
     }
@@ -775,7 +689,7 @@ mod tests {
         );
         telemetry.rotation(RotationEvent {
             batch: 3,
-            kind: RotationEventKind::Published(KeyEpoch::new(1)),
+            kind: RotationKind::Published { epoch: 1 },
         });
         telemetry.strike_never_fired(3, 2);
         let outcome = telemetry.finish(4, 1, 4);

@@ -1,7 +1,8 @@
 //! Observability contracts of the serve engine: the deterministic event journal
-//! replays byte-identically per seed (including across a full rotation roll), and
+//! replays byte-identically per seed (including across a full rotation roll),
 //! scripted strikes the run never reached surface as a structured journal event
-//! plus a counter instead of disappearing into stderr.
+//! plus a counter instead of disappearing into stderr, and the full-level trace
+//! keeps one row per barrier role.
 
 use std::time::Duration;
 
@@ -9,8 +10,9 @@ use radar_attack::{AttackProfile, BitFlip, FlipDirection};
 use radar_core::{RadarConfig, RadarProtection};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
 use radar_nn::{resnet20, ResNetConfig};
+use radar_obs::{chrome_trace, validate_chrome_trace};
 use radar_quant::{QuantizedModel, MSB};
-use radar_serve::{metric, replicas, serve, ServeConfig, ServeOutcome, TrafficSchedule};
+use radar_serve::{metric, replicas, serve, ObsLevel, ServeConfig, ServeOutcome, TrafficSchedule};
 use radar_tensor::Tensor;
 
 fn tiny_model() -> QuantizedModel {
@@ -206,4 +208,24 @@ fn unreached_scripted_strike_is_journaled_and_counted() {
         .journal
         .logical_jsonl()
         .contains("strike_never_fired"));
+}
+
+/// The batcher runs the strike, scrub and re-keying steps inline, each through
+/// its own role's shard: a full-level run with all three exports a Chrome trace
+/// that validates and has spans on the adversary, scrubber and rotation rows.
+#[test]
+fn full_level_trace_keeps_a_row_per_barrier_role() {
+    let cfg = engine_config().with_rotation(2).with_obs(ObsLevel::Full);
+    let outcome = attacked_run(&cfg, 4);
+    assert!(outcome.attack.is_some(), "the strike fired");
+
+    let trace = chrome_trace(&outcome.obs, "radar-serve test");
+    let summary = validate_chrome_trace(&trace).expect("own trace export must validate");
+    for row in ["adversary", "scrubber", "rotation"] {
+        assert!(
+            summary.spans_on(row) >= 1,
+            "trace is missing spans on the {row} row ({} spans total)",
+            summary.total_spans
+        );
+    }
 }

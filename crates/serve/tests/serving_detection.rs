@@ -1,9 +1,10 @@
 //! Serving-time detection properties: flips that land *between* the layer fetches of
 //! one inference are caught no later than the next scrub sweep, recovery stays
 //! idempotent when the scrubber and the in-path check race on the same corruption,
-//! the full engine replays its logical outcomes deterministically, and its single
+//! the full engine replays its logical outcomes deterministically, its single
 //! serving path (fused fetch-and-verify snapshot, integer forward) answers exactly
-//! like an independent sequential split-verify, float-forward replay.
+//! like an independent sequential split-verify, float-forward replay, and a panic in
+//! a barrier step stops serving at once.
 
 use std::sync::RwLock;
 use std::time::Duration;
@@ -391,7 +392,7 @@ fn engine_matches_a_sequential_split_verify_float_forward_replay() {
 #[test]
 fn engine_completes_a_full_key_roll_under_live_traffic() {
     use radar_core::KeyEpoch;
-    use radar_serve::RotationEventKind;
+    use radar_serve::RotationKind;
 
     let num_layers = tiny_model().num_layers();
     let run = || {
@@ -428,22 +429,21 @@ fn engine_completes_a_full_key_roll_under_live_traffic() {
     // re-signed 0..L, publish, retire — one event per batch starting at batch 1.
     let kinds: Vec<_> = outcome.rotations.iter().map(|e| e.kind).collect();
     assert!(kinds.len() >= num_layers + 3);
-    assert_eq!(kinds[0], RotationEventKind::Began(KeyEpoch::new(1)));
+    assert_eq!(kinds[0], RotationKind::Began { epoch: 1 });
     assert_eq!(outcome.rotations[0].batch, 1);
     for (i, kind) in kinds.iter().skip(1).take(num_layers).enumerate() {
         assert!(
-            matches!(kind, RotationEventKind::Resigned { layer, .. } if *layer == i),
+            matches!(kind, RotationKind::Resigned { layer, .. } if *layer == i as u64),
             "tick {} should re-sign layer {i}, got {kind:?}",
             i + 1
         );
     }
-    assert_eq!(
-        kinds[1 + num_layers],
-        RotationEventKind::Published(KeyEpoch::new(1))
-    );
+    assert_eq!(kinds[1 + num_layers], RotationKind::Published { epoch: 1 });
     assert_eq!(
         kinds[2 + num_layers],
-        RotationEventKind::Retired(KeyEpoch::ZERO)
+        RotationKind::Retired {
+            epoch: KeyEpoch::ZERO.index()
+        }
     );
 
     // The mid-roll strike is still detected at its own batch: no request is ever
@@ -469,6 +469,32 @@ fn engine_completes_a_full_key_roll_under_live_traffic() {
             .iter()
             .map(|d| (d.batch, d.via_scrub, d.groups_flagged))
             .collect::<Vec<_>>()
+    );
+}
+
+/// A barrier step that hits a protocol break fails closed: the scrub check's own
+/// panic leaves `serve` at once, instead of the run serving its remaining batches
+/// with no scrubbing behind them. The protection was signed on a model whose layer
+/// sizes differ from the DRAM image, so the first sweep (at batch 1) panics.
+#[test]
+#[should_panic(expected = "size changed since signing")]
+fn scrub_step_panic_stops_serving_with_the_checks_own_message() {
+    let signer = QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(8))));
+    let protection = RadarProtection::new(&signer, RadarConfig::paper_default(32));
+    let dram = WeightDram::load(&tiny_model(), DramGeometry::default());
+    let eval = eval_set(16);
+    let cfg = ServeConfig {
+        scrub_every: 1,
+        ..engine_config().scrub_only()
+    };
+    serve(
+        replicas(cfg.workers, tiny_model),
+        Some(protection),
+        dram,
+        &eval,
+        &TrafficSchedule::new(5, 64),
+        AttackTimeline::empty(),
+        &cfg,
     );
 }
 

@@ -18,7 +18,8 @@
 //! // Signing compiled a streaming verification plan; the fetch path verifies one
 //! // layer at a time through it.
 //! assert_eq!(radar.plan().num_layers(), model.num_layers());
-//! assert!(!radar.verify_layer(&model, 0).attack_detected());
+//! let mut acc = Vec::new();
+//! assert!(!radar.detect_layers_with_scratch(&model, 0..1, &mut acc).attack_detected());
 //! ```
 
 pub use radar_archsim as archsim;
