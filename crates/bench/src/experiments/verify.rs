@@ -1,15 +1,13 @@
 //! Verification-throughput experiment: legacy per-group gather detection versus the
-//! precomputed streaming [`VerifyPlan`](radar_core::VerifyPlan) sweep — sequential,
-//! sharded-parallel (1/2/4 threads), and the fused fetch-and-verify kernel against
-//! its two-pass copy-then-verify baseline — measured on the ResNet-18-like model.
+//! precomputed streaming [`VerifyPlan`](radar_core::VerifyPlan) sweep, and the fused
+//! fetch-and-verify kernel against its two-pass copy-then-verify baseline — measured
+//! on the ResNet-18-like model.
 //! The measured speedup is the in-repo evidence for the paper's fetch-path framing
 //! (Table IV): verification must keep up with the weight-fetch stream, so detect
 //! throughput — not just detection accuracy — is a tracked number.
 //!
 //! Besides the human-readable report, the experiment writes
-//! `artifacts/results/BENCH_verify.json` (now including `parallel` points per thread
-//! count plus the host's `hardware_threads`, so a 4-thread number measured on a
-//! smaller machine is interpretable) so CI can archive the throughput trajectory
+//! `artifacts/results/BENCH_verify.json` so CI can archive the throughput trajectory
 //! across commits.
 
 use radar_core::{
@@ -25,10 +23,6 @@ use crate::report::Report;
 
 /// Group sizes measured (the paper's ResNet-18 Table IV point plus one smaller size).
 const GROUP_SIZES: [usize; 2] = [128, 512];
-
-/// Thread counts measured for the sharded parallel detect path (1 pins the sharded
-/// code at its sequential degenerate point).
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// The pre-plan detection path, the measurement baseline: per layer, re-derive the
 /// member lists from the layout and gather the weights through the shared
@@ -61,11 +55,10 @@ fn split_fetch_verify(
     layers: &mut [Vec<i8>],
     acc: &mut Vec<i32>,
 ) -> DetectionReport {
-    let epoch = radar.current_epoch();
     let mut report = DetectionReport::default();
     for (layer, buf) in layers.iter_mut().enumerate() {
         dram.read_layer_into(layer, buf);
-        report.merge(&radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, acc));
+        report.merge(&radar.verify_layer_values_with_scratch(layer, buf, acc));
     }
     report
 }
@@ -106,13 +99,11 @@ fn median_seconds(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// One measured `(group size, legacy, streaming, parallel…)` point.
+/// One measured `(group size, legacy, streaming, split, fused)` point.
 struct Measurement {
     group_size: usize,
     legacy_seconds: f64,
     plan_seconds: f64,
-    /// `(threads, seconds)` per measured parallel thread count.
-    parallel_seconds: Vec<(usize, f64)>,
     /// Full-model copy-then-verify from DRAM (the split-fetch baseline).
     split_fetch_seconds: f64,
     /// Full-model fused copy-and-verify from DRAM (the snapshot build kernel).
@@ -131,23 +122,14 @@ impl Measurement {
     fn fused_speedup(&self) -> f64 {
         self.split_fetch_seconds / self.fused_fetch_seconds
     }
-
-    /// Speedup of the parallel sweep at `threads` over the sequential plan sweep.
-    fn parallel_speedup(&self, threads: usize) -> Option<f64> {
-        self.parallel_seconds
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, s)| self.plan_seconds / s)
-    }
 }
 
 /// Runs the verification-throughput comparison and writes the JSON artifact.
 ///
 /// The model is the ResNet-18-like architecture at base width 32 (~2.8 M weights —
 /// a quarter of real ResNet-18's 11 M, against the width-8 ~177 k-weight variant the
-/// accuracy experiments train), so one detect pass carries enough work for the
-/// sharded parallel path to amortize its per-pass thread spawns; weights are
-/// untrained because detect throughput is independent of weight values.
+/// accuracy experiments train), the size `servebench`'s `single_b1` workload serves;
+/// weights are untrained because detect throughput is independent of weight values.
 pub fn bench_verify(budget: &Budget) -> Report {
     // Arm the kernel-side global counters so sweep counts can be attributed per
     // detect pass (single-session binary; the process-wide gate is unambiguous).
@@ -156,19 +138,14 @@ pub fn bench_verify(budget: &Budget) -> Report {
     let total_weights = model.total_weights();
     let iters = budget.verify_iters;
 
-    let hardware_threads = crate::harness::default_threads();
     let mut report = Report::new("Verification throughput — legacy gather vs streaming plan");
     report.line(format!(
-        "ResNet-18-like model, {total_weights} weights, median of {iters} passes, \
-         {hardware_threads} hardware threads"
+        "ResNet-18-like model, {total_weights} weights, median of {iters} passes"
     ));
     report.row(&[
         "G".into(),
         "legacy (ms)".into(),
         "plan (ms)".into(),
-        "1t (ms)".into(),
-        "2t (ms)".into(),
-        "4t (ms)".into(),
         "split (ms)".into(),
         "fused (ms)".into(),
         "speedup".into(),
@@ -184,9 +161,6 @@ pub fn bench_verify(budget: &Budget) -> Report {
         // Sanity: all paths agree on the clean model before being timed.
         assert!(!legacy_detect(&radar, &model).attack_detected());
         assert!(!radar.detect(&model).attack_detected());
-        for t in PARALLEL_THREADS {
-            assert!(!radar.detect_parallel(&model, t).attack_detected());
-        }
         assert!(!split_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
         assert!(!fused_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
 
@@ -196,15 +170,6 @@ pub fn bench_verify(budget: &Budget) -> Report {
         let plan_seconds = median_seconds(iters, || {
             std::hint::black_box(radar.detect(&model));
         });
-        let parallel_seconds: Vec<(usize, f64)> = PARALLEL_THREADS
-            .iter()
-            .map(|&t| {
-                let s = median_seconds(iters, || {
-                    std::hint::black_box(radar.detect_parallel(&model, t));
-                });
-                (t, s)
-            })
-            .collect();
         let split_fetch_seconds = median_seconds(iters, || {
             std::hint::black_box(split_fetch_verify(&radar, &dram, &mut layers, &mut acc));
         });
@@ -221,24 +186,14 @@ pub fn bench_verify(budget: &Budget) -> Report {
             group_size: g,
             legacy_seconds,
             plan_seconds,
-            parallel_seconds,
             split_fetch_seconds,
             fused_fetch_seconds,
             plan_sweeps,
-        };
-        let par_ms = |t: usize| {
-            m.parallel_seconds
-                .iter()
-                .find(|&&(pt, _)| pt == t)
-                .map_or("-".to_owned(), |&(_, s)| format!("{:.3}", s * 1e3))
         };
         report.row(&[
             format!("{g}"),
             format!("{:.3}", m.legacy_seconds * 1e3),
             format!("{:.3}", m.plan_seconds * 1e3),
-            par_ms(1),
-            par_ms(2),
-            par_ms(4),
             format!("{:.3}", m.split_fetch_seconds * 1e3),
             format!("{:.3}", m.fused_fetch_seconds * 1e3),
             format!("{:.1}x", m.speedup()),
@@ -253,38 +208,23 @@ pub fn bench_verify(budget: &Budget) -> Report {
             m.plan_sweeps
         ));
     }
-    write_json(total_weights, iters, hardware_threads, &measurements);
+    write_json(total_weights, iters, &measurements);
     report
 }
 
 /// Serializes the measurements as `artifacts/results/BENCH_verify.json` (hand-rolled:
 /// the workspace carries no JSON dependency).
-fn write_json(
-    total_weights: usize,
-    iters: usize,
-    hardware_threads: usize,
-    measurements: &[Measurement],
-) {
+fn write_json(total_weights: usize, iters: usize, measurements: &[Measurement]) {
     let points: Vec<String> = measurements
         .iter()
         .map(|m| {
-            let parallel: Vec<String> = m
-                .parallel_seconds
-                .iter()
-                .map(|&(t, s)| {
-                    format!(
-                        "{{\"threads\": {t}, \"seconds\": {s:.9}, \"speedup_vs_plan\": {:.3}}}",
-                        m.parallel_speedup(t).unwrap_or(f64::NAN)
-                    )
-                })
-                .collect();
             format!(
                 concat!(
                     "    {{\"group_size\": {}, \"legacy_seconds\": {:.9}, ",
                     "\"plan_seconds\": {:.9}, \"speedup\": {:.3}, ",
                     "\"split_fetch_seconds\": {:.9}, \"fused_fetch_seconds\": {:.9}, ",
                     "\"fused_speedup\": {:.3}, ",
-                    "\"plan_sweeps_per_pass\": {}, \"parallel\": [{}]}}"
+                    "\"plan_sweeps_per_pass\": {}}}"
                 ),
                 m.group_size,
                 m.legacy_seconds,
@@ -293,17 +233,15 @@ fn write_json(
                 m.split_fetch_seconds,
                 m.fused_fetch_seconds,
                 m.fused_speedup(),
-                m.plan_sweeps,
-                parallel.join(", ")
+                m.plan_sweeps
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"model\": \"resnet18-like\",\n  \"total_weights\": {},\n  \
-         \"iters\": {},\n  \"hardware_threads\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"iters\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         total_weights,
         iters,
-        hardware_threads,
         points.join(",\n")
     );
     let path = artifacts_dir().join("results").join("BENCH_verify.json");
@@ -324,9 +262,6 @@ mod tests {
         model.flip_bit(1, 7, MSB);
         model.flip_bit(5, 0, MSB);
         assert_eq!(legacy_detect(&radar, &model), radar.detect(&model));
-        for t in PARALLEL_THREADS {
-            assert_eq!(radar.detect(&model), radar.detect_parallel(&model, t));
-        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl ModelKind {
 /// | `RADAR_EVAL_SAMPLES` | test samples used for accuracy numbers | 400 |
 /// | `RADAR_ATTACK_BATCH` | attacker batch size | 16 |
 /// | `RADAR_VERIFY_ITERS` | timed passes per point in the verification bench | 20 |
-/// | `RADAR_THREADS` | worker threads for the campaign engine and parallel detect | available cores |
+/// | `RADAR_THREADS` | worker threads for the campaign engine | available cores |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
     /// Number of independent attack rounds (the paper uses 100).
@@ -212,12 +212,18 @@ pub fn prepare(kind: ModelKind, budget: Budget) -> Prepared {
             budget.epochs,
             &mut rng,
         );
-        eprintln!(
-            "[harness] {} trained: final loss {:.3}, train accuracy {}",
-            kind.name(),
-            report.epoch_losses.last().copied().unwrap_or(f32::NAN),
-            report.train_accuracy
-        );
+        match report.epoch_losses.last() {
+            Some(loss) => eprintln!(
+                "[harness] {} trained: final loss {loss:.3}, train accuracy {}",
+                kind.name(),
+                report.train_accuracy
+            ),
+            None => eprintln!(
+                "[harness] {} untrained (0 epochs): train accuracy {}",
+                kind.name(),
+                report.train_accuracy
+            ),
+        }
         save_params(&mut float_model, &checkpoint).expect("artifact directory is writable");
     }
 

@@ -178,7 +178,7 @@ impl WeightDram {
     /// Copies one layer's stored bytes into `buf` as signed weight values, without
     /// touching any model — the view a background scrubber verifies directly against
     /// the golden signatures (via
-    /// [`RadarProtection::verify_layer_values`](radar_core::RadarProtection::verify_layer_values)).
+    /// [`RadarProtection::verify_layer_values_with_scratch`](radar_core::RadarProtection::verify_layer_values_with_scratch)).
     ///
     /// `buf` is cleared and refilled; its capacity is reused across calls.
     ///
@@ -286,14 +286,19 @@ impl WeightDram {
             self.layer_offsets.len(),
             "layer count mismatch"
         );
+        assert_eq!(
+            radar.layers().len(),
+            self.layer_offsets.len(),
+            "layer count mismatch"
+        );
         let mut report = DetectionReport::default();
         // One accumulator sized for the widest layer serves every per-layer check.
         let mut acc = vec![0i32; radar.plan().max_groups()];
         for layer_idx in 0..self.layer_offsets.len() {
             self.fetch_layer_into(model, layer_idx);
-            report.merge(&radar.detect_layers_with_scratch(
-                model,
-                layer_idx..layer_idx + 1,
+            report.merge(&radar.verify_layer_values_with_scratch(
+                layer_idx,
+                model.layer_values(layer_idx),
                 &mut acc,
             ));
         }
@@ -413,7 +418,7 @@ mod tests {
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
         let mut dram = WeightDram::load(&m, DramGeometry::default());
         assert_eq!(dram.num_layers(), m.num_layers());
-        let mut buf = Vec::new();
+        let (mut buf, mut acc) = (Vec::new(), Vec::new());
         for layer in 0..dram.num_layers() {
             assert_eq!(dram.layer_len(layer), m.layer(layer).len());
             dram.read_layer_into(layer, &mut buf);
@@ -426,10 +431,14 @@ mod tests {
         let clean = dram.read(offset);
         dram.flip_bit(offset, 7);
         dram.read_layer_into(4, &mut buf);
-        assert!(radar.verify_layer_values(4, &buf).attack_detected());
+        assert!(radar
+            .verify_layer_values_with_scratch(4, &buf, &mut acc)
+            .attack_detected());
         dram.write(offset, clean);
         dram.read_layer_into(4, &mut buf);
-        assert!(!radar.verify_layer_values(4, &buf).attack_detected());
+        assert!(!radar
+            .verify_layer_values_with_scratch(4, &buf, &mut acc)
+            .attack_detected());
         // The in-core model was never involved.
         dram.fetch_into(&mut m);
         assert!(!radar.detect(&m).attack_detected());

@@ -23,10 +23,12 @@
 //! flat slot-ordered member permutation, a group-offset table and a per-weight ±1
 //! key-mask vector ([`LayerPlan`]), so every run-time pass is one sequential sweep over
 //! the layer's weights in fetch order — no per-group gathers, no allocations.
-//! [`RadarProtection::detect_layers_with_scratch`] exposes the incremental, fetch-path
-//! granularity, and [`RadarProtection::detect_parallel`]
-//! shards the sweep across scoped worker threads (contiguous, weight-balanced layer
-//! ranges; one accumulator scratch per worker) for multi-core hosts.
+//! Besides the model-level [`RadarProtection::detect`], two per-layer entry points
+//! expose the fetch-path granularity: [`RadarProtection::verify_layer_values_with_scratch`]
+//! checks values already on chip (scrubbing, pre-resign and post-recovery checks), and
+//! [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] copies a layer's raw
+//! DRAM bytes out while checking them in the same sweep (the serving snapshot build).
+//! All three run through one per-layer core.
 //!
 //! [`ProtectedModel`] embeds the whole flow into the inference path.
 //!

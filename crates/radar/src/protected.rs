@@ -86,20 +86,24 @@ impl ProtectedModel {
 
     /// Runs one verification + recovery pass without inference.
     ///
-    /// Layers are verified one at a time in fetch order through the precomputed
-    /// [`VerifyPlan`](crate::VerifyPlan) — the same incremental granularity the
-    /// hardware check has in the weight-fetch stage — and every flagged group is zeroed
-    /// before the next layer is examined.
+    /// Layers are verified one at a time in fetch order through
+    /// [`verify_layer_and_recover`](Self::verify_layer_and_recover) — the same
+    /// incremental granularity the hardware check has in the weight-fetch stage — and
+    /// every flagged group is zeroed before the next layer is examined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wrapped model's layer count or sizes changed since signing.
     pub fn verify_and_recover(&mut self) -> (DetectionReport, RecoveryReport) {
+        assert_eq!(
+            self.model.num_layers(),
+            self.protection.layers().len(),
+            "model layer count changed since signing"
+        );
         let mut report = DetectionReport::default();
         let mut recovery = RecoveryReport::default();
         for layer in 0..self.model.num_layers() {
-            let layer_report = self.protection.detect_layers_with_scratch(
-                &self.model,
-                layer..layer + 1,
-                &mut self.acc,
-            );
-            let layer_recovery = self.protection.recover(&mut self.model, &layer_report);
+            let (layer_report, layer_recovery) = self.verify_layer_and_recover(layer);
             report.merge(&layer_report);
             recovery.groups_zeroed += layer_recovery.groups_zeroed;
             recovery.weights_zeroed += layer_recovery.weights_zeroed;
@@ -121,9 +125,9 @@ impl ProtectedModel {
     ///
     /// Panics if `layer` is out of bounds.
     pub fn verify_layer_and_recover(&mut self, layer: usize) -> (DetectionReport, RecoveryReport) {
-        let report = self.protection.detect_layers_with_scratch(
-            &self.model,
-            layer..layer + 1,
+        let report = self.protection.verify_layer_values_with_scratch(
+            layer,
+            self.model.layer_values(layer),
             &mut self.acc,
         );
         let recovery = self.protection.recover(&mut self.model, &report);

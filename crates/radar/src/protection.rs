@@ -1,5 +1,3 @@
-use std::ops::Range;
-
 use radar_quant::QuantizedModel;
 
 use crate::config::RadarConfig;
@@ -62,13 +60,12 @@ impl DetectionReport {
             .any(|f| f.layer == layer && f.group == group)
     }
 
-    /// Folds another report into this one; used by the incremental fetch-path checks to
-    /// combine per-layer verdicts into a whole-pass report, and by the sharded parallel
-    /// detect to fold per-shard reports.
+    /// Folds another report into this one; used by the per-layer fetch-path checks to
+    /// combine per-layer verdicts into a whole-pass report.
     ///
     /// The merged report is restored to sorted `(layer, group)` order and deduplicated
     /// — unconditionally, even when `other` is empty — so a group flagged by two
-    /// overlapping range checks (or listed twice in a hand-built report) appears once
+    /// overlapping checks (or listed twice in a hand-built report) appears once
     /// and downstream consumers (recovery statistics above all) never see the same
     /// group twice.
     pub fn merge(&mut self, other: &DetectionReport) {
@@ -96,6 +93,25 @@ struct EpochState {
     layers: Vec<LayerProtection>,
     plan: VerifyPlan,
     golden: SignatureStore,
+}
+
+/// Where [`RadarProtection::check_layer`] reads a layer's weights from.
+enum LayerSource<'a> {
+    /// Values already on chip: one [`LayerPlan::accumulate`](crate::LayerPlan::accumulate)
+    /// sweep.
+    Values(&'a [i8]),
+    /// Raw DRAM bytes, copied into `dst` during the sweep
+    /// ([`LayerPlan::copy_accumulate`](crate::LayerPlan::copy_accumulate)).
+    Fetch { src: &'a [u8], dst: &'a mut Vec<i8> },
+}
+
+impl LayerSource<'_> {
+    fn len(&self) -> usize {
+        match self {
+            LayerSource::Values(values) => values.len(),
+            LayerSource::Fetch { src, .. } => src.len(),
+        }
+    }
 }
 
 /// The next epoch while it is being signed layer-by-layer, before publication.
@@ -126,8 +142,8 @@ struct PendingEpoch {
 ///    next epoch — the caller must verify-and-recover the layer under the current
 ///    epoch *first*, or corruption would be blessed into the new golden store;
 /// 3. [`publish_epoch`](Self::publish_epoch) makes the pending epoch current and
-///    retains the old epoch as `previous`, so verification pinned to the old
-///    epoch ([`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch))
+///    retains the old epoch as `previous`, so a snapshot build pinned to the old
+///    epoch ([`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch))
 ///    keeps working during the hand-over;
 /// 4. [`retire_previous`](Self::retire_previous) drops the old epoch once no
 ///    in-flight work can still be pinned to it.
@@ -401,131 +417,74 @@ impl RadarProtection {
     }
 
     /// Runs the full detection pass: recomputes every group signature from the model's
-    /// current (possibly corrupted) weights and compares with the golden store.
+    /// current (possibly corrupted) weights and compares with the golden store, one
+    /// sequential sweep per layer in fetch order over one shared accumulator scratch.
     ///
     /// # Panics
     ///
     /// Panics if `model` does not have the same layer sizes as the model used at
     /// construction time.
     pub fn detect(&self, model: &QuantizedModel) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.detect_layers_with_scratch(model, 0..self.current.layers.len(), &mut acc)
-    }
-
-    /// Verifies only the `layers` range — the incremental fetch-path check: callers
-    /// embedded in the weight-fetch stage verify exactly the layers inference is about
-    /// to consume instead of rescanning the whole model per batch.
-    ///
-    /// Each layer is a single sequential sweep over its weights through the
-    /// [`VerifyPlan`], sharing the caller-owned accumulator scratch `acc` across the
-    /// range, so repeated per-layer calls (one per fetched layer) reuse one buffer
-    /// instead of allocating per call. `acc` is grown to the largest group count in
-    /// the range and never shrunk; size it with [`VerifyPlan::max_groups`] to cover
-    /// every layer up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range or the model's layer count/sizes disagree with the model
-    /// used at construction time.
-    pub fn detect_layers_with_scratch(
-        &self,
-        model: &QuantizedModel,
-        layers: Range<usize>,
-        acc: &mut Vec<i32>,
-    ) -> DetectionReport {
         assert_eq!(
             model.num_layers(),
             self.current.layers.len(),
             "model layer count changed since signing"
         );
-        assert!(
-            layers.end <= self.current.layers.len(),
-            "layer range {layers:?} out of bounds for {} layers",
-            self.current.layers.len()
-        );
-        let max_groups = self
-            .current
-            .plan
-            .layers()
-            .get(layers.clone())
-            .map_or(0, |plans| {
-                plans
-                    .iter()
-                    .map(super::plan::LayerPlan::num_groups)
-                    .max()
-                    .unwrap_or(0)
-            });
-        if acc.len() < max_groups {
-            acc.resize(max_groups, 0);
-        }
+        let mut acc = vec![0i32; self.current.plan.max_groups()];
         let mut report = DetectionReport::default();
-        for layer_idx in layers {
+        for layer in 0..self.current.layers.len() {
             Self::check_layer(
                 &self.current,
-                layer_idx,
-                model.layer_values(layer_idx),
-                acc,
+                layer,
+                LayerSource::Values(model.layer_values(layer)),
+                &mut acc,
                 &mut report,
             );
         }
         report
     }
 
-    /// Verifies one layer's signatures from its raw weight values against one epoch's
-    /// plan and store, appending mismatches to `report` — the shared core of the
-    /// sequential, sharded-parallel and epoch-pinned detects.
+    /// The one per-layer verify core behind [`detect`](Self::detect) and both
+    /// per-layer entry points: sweeps the layer's weights from `source` through
+    /// `state`'s [`VerifyPlan`] (one [`VERIFY_SWEEPS`](crate::VERIFY_SWEEPS) tick)
+    /// and appends every group whose binarized masked sum disagrees with `state`'s
+    /// golden signature to `report`, in group order. `acc` is grown to the layer's
+    /// group count and never shrunk, so one caller-owned scratch serves every layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of bounds or the source's length differs from the
+    /// layer's signed size.
     fn check_layer(
         state: &EpochState,
-        layer_idx: usize,
-        values: &[i8],
-        acc: &mut [i32],
+        layer: usize,
+        source: LayerSource<'_>,
+        acc: &mut Vec<i32>,
         report: &mut DetectionReport,
     ) {
-        assert_eq!(
-            values.len(),
-            state.layers[layer_idx].layout.len(),
-            "layer {layer_idx} size changed since signing"
+        assert!(
+            layer < state.layers.len(),
+            "layer {layer} out of bounds for {} layers",
+            state.layers.len()
         );
-        let bits = state.plan.signature_bits();
-        let layer_plan = state.plan.layer(layer_idx);
-        layer_plan.accumulate(values, acc);
-        for (group, &m) in acc[..layer_plan.num_groups()].iter().enumerate() {
-            if binarize(m, bits) != state.golden.signature(layer_idx, group) {
-                report.flagged.push(FlaggedGroup {
-                    layer: layer_idx,
-                    group,
-                });
-            }
+        assert_eq!(
+            source.len(),
+            state.layers[layer].layout.len(),
+            "layer {layer} size changed since signing"
+        );
+        let layer_plan = state.plan.layer(layer);
+        let groups = layer_plan.num_groups();
+        if acc.len() < groups {
+            acc.resize(groups, 0);
         }
-    }
-
-    /// Fused fetch-and-verify of one layer from its raw DRAM bytes: copies the bytes
-    /// into `dst` *while* accumulating the masked group sums in one sweep
-    /// ([`LayerPlan::copy_accumulate`](super::plan::LayerPlan::copy_accumulate)),
-    /// then compares the binarized signatures against `state`'s golden store — the
-    /// snapshot build path's one pass per layer per batch.
-    fn check_layer_fused(
-        state: &EpochState,
-        layer_idx: usize,
-        src: &[u8],
-        dst: &mut Vec<i8>,
-        acc: &mut [i32],
-        report: &mut DetectionReport,
-    ) {
-        assert_eq!(
-            src.len(),
-            state.layers[layer_idx].layout.len(),
-            "layer {layer_idx} size changed since signing"
-        );
+        match source {
+            LayerSource::Values(values) => layer_plan.accumulate(values, acc),
+            LayerSource::Fetch { src, dst } => layer_plan.copy_accumulate(src, dst, acc),
+        }
         let bits = state.plan.signature_bits();
-        let layer_plan = state.plan.layer(layer_idx);
-        layer_plan.copy_accumulate(src, dst, acc);
-        for (group, &m) in acc[..layer_plan.num_groups()].iter().enumerate() {
-            if binarize(m, bits) != state.golden.signature(layer_idx, group) {
-                report.flagged.push(FlaggedGroup {
-                    layer: layer_idx,
-                    group,
-                });
+        for (group, &m) in acc[..groups].iter().enumerate() {
+            if binarize(m, bits) != state.golden.signature(layer, group) {
+                report.flagged.push(FlaggedGroup { layer, group });
             }
         }
     }
@@ -544,171 +503,31 @@ impl RadarProtection {
         }
     }
 
-    /// Splits the planned layers into at most `shards` contiguous ranges of roughly
-    /// equal total weight count (the unit of detect work is one weight).
-    fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        let total: usize = self
-            .current
-            .plan
-            .layers()
-            .iter()
-            .map(super::plan::LayerPlan::len)
-            .sum();
-        let num_layers = self.current.layers.len();
-        let shards = shards.clamp(1, num_layers.max(1));
-        let target = total.div_ceil(shards).max(1);
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        let mut in_shard = 0usize;
-        for (idx, plan) in self.current.plan.layers().iter().enumerate() {
-            in_shard += plan.len();
-            // Close the shard once it reached its weight target, keeping enough layers
-            // for the remaining shards to be non-empty.
-            if in_shard >= target && num_layers - idx > shards - ranges.len() - 1 {
-                ranges.push(start..idx + 1);
-                start = idx + 1;
-                in_shard = 0;
-                if ranges.len() == shards - 1 {
-                    break;
-                }
-            }
-        }
-        if start < num_layers {
-            ranges.push(start..num_layers);
-        }
-        ranges
-    }
-
-    /// Sharded parallel detection: splits the layers into contiguous, weight-balanced
-    /// ranges and verifies them concurrently on `threads` scoped workers, each with its
-    /// own accumulator scratch over the shared [`VerifyPlan`].
-    ///
-    /// Produces exactly the report [`detect`](Self::detect) would (same flag set, same
-    /// `(layer, group)` order): shards are disjoint layer ranges, so the per-shard
-    /// reports concatenate in order with no duplicates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or under the same model-mismatch conditions as
-    /// [`detect`](Self::detect).
-    pub fn detect_parallel(&self, model: &QuantizedModel, threads: usize) -> DetectionReport {
-        assert!(threads > 0, "thread count must be non-zero");
-        assert_eq!(
-            model.num_layers(),
-            self.current.layers.len(),
-            "model layer count changed since signing"
-        );
-        let ranges = self.shard_ranges(threads);
-        if ranges.len() <= 1 {
-            return self.detect(model);
-        }
-        // Borrow every layer's raw values up front: plain `&[i8]` slices are freely
-        // shared across the scoped workers without requiring anything of the model's
-        // float-side internals.
-        let values: Vec<&[i8]> = (0..self.current.layers.len())
-            .map(|i| model.layer_values(i))
-            .collect();
-        let mut shard_reports: Vec<DetectionReport> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let values = &values;
-                    scope.spawn(move || {
-                        let mut acc = Vec::new();
-                        let mut report = DetectionReport::default();
-                        for layer_idx in range {
-                            let layer_plan = self.current.plan.layer(layer_idx);
-                            if acc.len() < layer_plan.num_groups() {
-                                acc.resize(layer_plan.num_groups(), 0);
-                            }
-                            Self::check_layer(
-                                &self.current,
-                                layer_idx,
-                                values[layer_idx],
-                                &mut acc,
-                                &mut report,
-                            );
-                        }
-                        report
-                    })
-                })
-                .collect();
-            shard_reports = handles
-                .into_iter()
-                .map(|h| h.join().expect("detect shard worker panicked"))
-                .collect();
-        });
-        let mut report = DetectionReport::default();
-        for shard in &shard_reports {
-            report.merge(shard);
-        }
-        report
-    }
-
-    /// Verifies one layer's signatures straight from raw weight values — bytes that are
-    /// still in a DRAM image (or any other store) rather than already fetched into a
-    /// [`QuantizedModel`]. This is what a background scrubber sweeping main memory
-    /// between inference batches uses: no model instance is needed at all.
+    /// Verifies one layer's signatures under the current epoch straight from raw weight
+    /// values — bytes that are still in a DRAM image (or any other store) rather than
+    /// already fetched into a [`QuantizedModel`]. This is what the background scrubber,
+    /// the pre-resign check of a key roll and the post-recovery re-check use: no model
+    /// instance is needed at all. `acc` is caller-owned accumulator scratch, so a
+    /// sweep over many layers reuses one buffer and is allocation-free after warm-up.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of bounds or `values` does not have the layer's signed
     /// size.
-    pub fn verify_layer_values(&self, layer: usize, values: &[i8]) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.verify_layer_values_with_scratch(layer, values, &mut acc)
-    }
-
-    /// [`verify_layer_values`](Self::verify_layer_values) with a caller-owned
-    /// accumulator scratch, so a scrubber sweeping many layers reuses one buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
     pub fn verify_layer_values_with_scratch(
         &self,
         layer: usize,
         values: &[i8],
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
-        self.verify_layer_values_at_epoch_with_scratch(self.current.epoch, layer, values, acc)
-    }
-
-    /// Verifies one layer's raw values under the keys and golden store of a *pinned*
-    /// epoch — the serving path's epoch-aware check: a worker pins the epoch it saw
-    /// when its fetch ticket came up, and a rotation publish landing between pin and
-    /// verify must not strand it (the pinned epoch is then `previous` and still
-    /// accepted). `acc` is caller-owned accumulator scratch, so the check is
-    /// allocation-free after warm-up, like every other fetch-path check.
-    ///
-    /// An `epoch` that is no longer retained falls back to the current state (see
-    /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
-    pub fn verify_layer_values_at_epoch_with_scratch(
-        &self,
-        epoch: KeyEpoch,
-        layer: usize,
-        values: &[i8],
-        acc: &mut Vec<i32>,
-    ) -> DetectionReport {
-        let state = self.epoch_state(epoch);
-        assert!(
-            layer < state.layers.len(),
-            "layer {layer} out of bounds for {} layers",
-            state.layers.len()
-        );
-        let groups = state.plan.layer(layer).num_groups();
-        if acc.len() < groups {
-            acc.resize(groups, 0);
-        }
         let mut report = DetectionReport::default();
-        Self::check_layer(state, layer, values, acc, &mut report);
+        Self::check_layer(
+            &self.current,
+            layer,
+            LayerSource::Values(values),
+            acc,
+            &mut report,
+        );
         report
     }
 
@@ -717,11 +536,14 @@ impl RadarProtection {
     /// weight-fetch path does) while accumulating and checking the group
     /// signatures in the same sweep. This is the snapshot build path's kernel:
     /// where a split fetch pays a copy pass plus a
-    /// [`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch)
+    /// [`verify_layer_values_with_scratch`](Self::verify_layer_values_with_scratch)
     /// pass, the build pays one.
     ///
-    /// Epoch resolution matches the unfused check: an `epoch` no longer retained
-    /// falls back to the current state — fail-closed, never skip.
+    /// A batch pins the epoch it saw when its fetch ticket came up, and a rotation
+    /// publish landing between pin and build must not strand it: the pinned epoch is
+    /// then `previous` and still accepted. An `epoch` no longer retained (see
+    /// [`accepts_epoch`](Self::accepts_epoch)) falls back to the current state —
+    /// fail-closed, never skip.
     ///
     /// # Panics
     ///
@@ -735,18 +557,14 @@ impl RadarProtection {
         dst: &mut Vec<i8>,
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
-        let state = self.epoch_state(epoch);
-        assert!(
-            layer < state.layers.len(),
-            "layer {layer} out of bounds for {} layers",
-            state.layers.len()
-        );
-        let groups = state.plan.layer(layer).num_groups();
-        if acc.len() < groups {
-            acc.resize(groups, 0);
-        }
         let mut report = DetectionReport::default();
-        Self::check_layer_fused(state, layer, src, dst, acc, &mut report);
+        Self::check_layer(
+            self.epoch_state(epoch),
+            layer,
+            LayerSource::Fetch { src, dst },
+            acc,
+            &mut report,
+        );
         report
     }
 
@@ -777,7 +595,7 @@ impl RadarProtection {
     /// report the same, already-mitigated attack again).
     ///
     /// Recovery is idempotent per `(layer, group)`: a report that lists the same group
-    /// twice (hand-merged from overlapping range checks, say) zeroes it — and counts it
+    /// twice (hand-merged from overlapping checks, say) zeroes it — and counts it
     /// in the [`RecoveryReport`] — exactly once.
     pub fn recover(
         &mut self,
@@ -869,14 +687,27 @@ mod tests {
         QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(4))))
     }
 
-    /// The pinned-epoch check with a throwaway accumulator scratch.
+    /// The pinned-epoch fused check over `values` given as raw bytes, with throwaway
+    /// scratch.
     fn verify_at(
         radar: &RadarProtection,
         epoch: KeyEpoch,
         layer: usize,
         values: &[i8],
     ) -> DetectionReport {
-        radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, values, &mut Vec::new())
+        let bytes: Vec<u8> = values.iter().map(|v| v.to_ne_bytes()[0]).collect();
+        radar.fetch_verify_layer_at_epoch_with_scratch(
+            epoch,
+            layer,
+            &bytes,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+    }
+
+    /// The current-epoch unfused check with a throwaway accumulator scratch.
+    fn verify(radar: &RadarProtection, layer: usize, values: &[i8]) -> DetectionReport {
+        radar.verify_layer_values_with_scratch(layer, values, &mut Vec::new())
     }
 
     /// Drives a full key roll from the model's current weights — the offline
@@ -1012,12 +843,17 @@ mod tests {
         let full = radar.detect(&m);
         let mut acc = Vec::new();
         let mut merged = DetectionReport::default();
+        let mut early = DetectionReport::default();
         for layer in 0..m.num_layers() {
-            merged.merge(&radar.detect_layers_with_scratch(&m, layer..layer + 1, &mut acc));
+            let report =
+                radar.verify_layer_values_with_scratch(layer, m.layer_values(layer), &mut acc);
+            if layer < 3 {
+                early.merge(&report);
+            }
+            merged.merge(&report);
         }
         assert_eq!(full, merged);
-        // The range form verifies exactly the requested layers.
-        let early = radar.detect_layers_with_scratch(&m, 0..3, &mut acc);
+        // A per-layer check verifies exactly the requested layer.
         assert!(early.contains(2, radar.group_of(2, 5)));
         assert!(early.flagged.iter().all(|f| f.layer < 3));
     }
@@ -1042,17 +878,21 @@ mod tests {
         let mut m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
         m.flip_bit(2, 5, MSB);
+        let full = radar.detect(&m);
         let mut acc = Vec::new();
         for layer in 0..m.num_layers() {
             let from_values =
                 radar.verify_layer_values_with_scratch(layer, m.layer_values(layer), &mut acc);
+            let from_detect: Vec<FlaggedGroup> = full
+                .flagged
+                .iter()
+                .copied()
+                .filter(|f| f.layer == layer)
+                .collect();
+            assert_eq!(from_values.flagged, from_detect);
             assert_eq!(
                 from_values,
-                radar.detect_layers_with_scratch(&m, layer..layer + 1, &mut Vec::new())
-            );
-            assert_eq!(
-                from_values,
-                radar.verify_layer_values(layer, m.layer_values(layer))
+                verify_at(&radar, radar.current_epoch(), layer, m.layer_values(layer))
             );
         }
     }
@@ -1078,7 +918,7 @@ mod tests {
         assert_eq!(store[5], 0);
         // The golden store accepted the zeroed group: verifying the external bytes
         // (after zeroing) is clean even though the model itself was never touched.
-        assert!(!radar.verify_layer_values(2, &store).attack_detected());
+        assert!(!verify(&radar, 2, &store).attack_detected());
     }
 
     #[test]
@@ -1086,7 +926,7 @@ mod tests {
     fn verify_layer_values_rejects_wrong_length() {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        radar.verify_layer_values(0, &[0i8; 3]);
+        verify(&radar, 0, &[0i8; 3]);
     }
 
     #[test]
@@ -1156,11 +996,17 @@ mod tests {
         let mut m = model();
         let mut radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
         m.flip_bit(2, 5, MSB);
-        // Overlapping range checks both flag layer 2's group; the merge deduplicates.
+        // Overlapping per-layer sweeps over 0..4, 2..6 and 2..3 all flag layer 2's
+        // group; the merge deduplicates.
         let mut acc = Vec::new();
-        let mut merged = radar.detect_layers_with_scratch(&m, 0..4, &mut acc);
-        merged.merge(&radar.detect_layers_with_scratch(&m, 2..6, &mut acc));
-        merged.merge(&radar.detect_layers_with_scratch(&m, 2..3, &mut acc));
+        let mut merged = DetectionReport::default();
+        for layer in (0..4).chain(2..6).chain(2..3) {
+            merged.merge(&radar.verify_layer_values_with_scratch(
+                layer,
+                m.layer_values(layer),
+                &mut acc,
+            ));
+        }
         assert_eq!(merged, radar.detect(&m));
         let reference_members = radar
             .plan()
@@ -1170,82 +1016,6 @@ mod tests {
         let recovery = radar.recover(&mut m, &merged);
         assert_eq!(recovery.groups_zeroed, 1);
         assert_eq!(recovery.weights_zeroed, reference_members);
-    }
-
-    #[test]
-    fn parallel_detect_matches_sequential_for_any_thread_count() {
-        let mut m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        m.flip_bit(0, 1, MSB);
-        m.flip_bit(4, 9, MSB);
-        m.flip_bit(10, 3, MSB);
-        let sequential = radar.detect(&m);
-        assert!(sequential.attack_detected());
-        for threads in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(
-                radar.detect_parallel(&m, threads),
-                sequential,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_verify_and_recover_matches_sequential_pipeline() {
-        let mut a = model();
-        let mut b = model();
-        let mut radar_a = RadarProtection::new(&a, RadarConfig::paper_default(16));
-        let mut radar_b = RadarProtection::new(&b, RadarConfig::paper_default(16));
-        for &(layer, weight) in &[(1usize, 2usize), (6, 40), (12, 0)] {
-            a.flip_bit(layer, weight, MSB);
-            b.flip_bit(layer, weight, MSB);
-        }
-        let (report_a, recovery_a) = radar_a.detect_and_recover(&mut a);
-        let report_b = radar_b.detect_parallel(&b, 4);
-        let recovery_b = radar_b.recover(&mut b, &report_b);
-        assert_eq!(report_a, report_b);
-        assert_eq!(recovery_a, recovery_b);
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert!(!radar_b.detect_parallel(&b, 4).attack_detected());
-    }
-
-    #[test]
-    fn shard_ranges_cover_all_layers_without_overlap() {
-        let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        let total_weights: usize = (0..m.num_layers()).map(|i| m.layer(i).len()).sum();
-        for threads in [1usize, 2, 3, 5, 8, 100] {
-            let ranges = radar.shard_ranges(threads);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= threads.min(m.num_layers()));
-            let mut next = 0usize;
-            let mut covered = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "ranges must be contiguous");
-                assert!(r.end > r.start, "empty shard");
-                covered += (r.start..r.end).map(|i| m.layer(i).len()).sum::<usize>();
-                next = r.end;
-            }
-            assert_eq!(next, m.num_layers());
-            assert_eq!(covered, total_weights);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be non-zero")]
-    fn detect_parallel_rejects_zero_threads() {
-        let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        radar.detect_parallel(&m, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn detect_layers_rejects_out_of_range() {
-        let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        let n = m.num_layers();
-        radar.detect_layers_with_scratch(&m, 0..n + 1, &mut Vec::new());
     }
 
     #[test]

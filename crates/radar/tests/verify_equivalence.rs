@@ -1,11 +1,13 @@
-//! Property-based equivalence proofs for the sharded parallel detection path:
-//! `detect_parallel` must produce exactly the report `detect` produces — same flag
-//! set, same `(layer, group)` order — for arbitrary layer counts and sizes, group
-//! sizes, thread counts and corruption patterns, and recovery driven by a merged
-//! report of overlapping range checks must zero each flagged group exactly once.
+//! Property-based equivalence proofs for `RadarProtection`'s three verify entry
+//! points: the fused fetch-and-verify over raw bytes, the unfused per-layer check and
+//! the model-level `detect` must produce exactly the same report — same flag set, same
+//! `(layer, group)` order — for arbitrary layer counts and sizes, group sizes and
+//! corruption patterns, and the fused copy must be the layer's values bit for bit.
+//! Recovery driven by a merged report of overlapping per-layer checks must zero each
+//! flagged group exactly once.
 
 use proptest::prelude::*;
-use radar_core::{RadarConfig, RadarProtection};
+use radar_core::{DetectionReport, FlaggedGroup, RadarConfig, RadarProtection};
 use radar_nn::{Linear, Sequential};
 use radar_quant::{QuantizedModel, MSB};
 use rand::rngs::StdRng;
@@ -37,14 +39,15 @@ fn config_from(g: usize, interleave: bool, masking: bool, three_bit: bool) -> Ra
 }
 
 proptest! {
-    /// `detect_parallel` ≡ `detect` under sweeps of (layer sizes, G, threads, flips):
-    /// strict equality proves the flag sets match and the order is preserved, and an
-    /// order-insensitive set comparison guards the claim independently of ordering.
+    /// Per layer, the fused fetch over the layer's values as raw bytes ≡ the unfused
+    /// check ≡ `detect`'s flags for that layer, under sweeps of (layer sizes, G,
+    /// interleave, masking, signature width, flips at any bit): strict equality proves
+    /// the flag sets match and the order is preserved, and the merged per-layer reports
+    /// equal `detect` as a whole with no duplicates.
     #[test]
-    fn detect_parallel_equals_detect(
+    fn fused_fetch_equals_detect(
         sizes in prop::collection::vec(4usize..400, 1..10),
         g in 1usize..96,
-        threads in 1usize..9,
         seed in any::<u64>(),
         raw_flips in prop::collection::vec((any::<u16>(), any::<u16>(), any::<bool>()), 0..24),
         interleave in any::<bool>(),
@@ -59,20 +62,31 @@ proptest! {
             let bit = if msb { MSB } else { a as u32 % 8 };
             model.flip_bit(layer, weight, bit);
         }
-        let sequential = radar.detect(&model);
-        let parallel = radar.detect_parallel(&model, threads);
-        prop_assert_eq!(&parallel, &sequential, "ordered reports diverge");
-        // Order-insensitive comparison: same flags as sets, no duplicates on either side.
-        let par_set: std::collections::HashSet<(usize, usize)> =
-            parallel.flagged.iter().map(|f| (f.layer, f.group)).collect();
-        let seq_set: std::collections::HashSet<(usize, usize)> =
-            sequential.flagged.iter().map(|f| (f.layer, f.group)).collect();
-        prop_assert_eq!(par_set.len(), parallel.flagged.len(), "parallel report has duplicates");
-        prop_assert_eq!(seq_set.len(), sequential.flagged.len(), "sequential report has duplicates");
-        prop_assert_eq!(par_set, seq_set);
+        let full = radar.detect(&model);
+        let epoch = radar.current_epoch();
+        let (mut dst, mut acc) = (Vec::new(), Vec::new());
+        let mut merged = DetectionReport::default();
+        for layer in 0..sizes.len() {
+            let values = model.layer_values(layer);
+            let bytes: Vec<u8> = values.iter().map(|v| v.to_ne_bytes()[0]).collect();
+            let fused = radar.fetch_verify_layer_at_epoch_with_scratch(
+                epoch, layer, &bytes, &mut dst, &mut acc,
+            );
+            let unfused = radar.verify_layer_values_with_scratch(layer, values, &mut acc);
+            let from_detect: Vec<FlaggedGroup> =
+                full.flagged.iter().copied().filter(|f| f.layer == layer).collect();
+            prop_assert_eq!(&fused, &unfused, "fused and unfused diverge on layer {}", layer);
+            prop_assert_eq!(&unfused.flagged, &from_detect, "detect diverges on layer {}", layer);
+            prop_assert_eq!(dst.as_slice(), values, "fused copy differs on layer {}", layer);
+            merged.merge(&fused);
+        }
+        prop_assert_eq!(&merged, &full, "merged per-layer reports diverge from detect");
+        let set: std::collections::HashSet<(usize, usize)> =
+            full.flagged.iter().map(|f| (f.layer, f.group)).collect();
+        prop_assert_eq!(set.len(), full.flagged.len(), "detect report has duplicates");
     }
 
-    /// Recovery from a report merged out of overlapping layer-range checks zeroes each
+    /// Recovery from a report merged out of overlapping per-layer checks zeroes each
     /// flagged group exactly once: the merged report equals the full-pass report, and
     /// the recovery statistics match a straight detect-and-recover on an identical
     /// model.
@@ -95,13 +109,20 @@ proptest! {
             model.flip_bit(layer, weight, MSB);
             twin.flip_bit(layer, weight, MSB);
         }
-        // Overlapping coverage: [0, mid+1) and [mid.saturating_sub(1), n) double-check
-        // the boundary layers, plus a full-pass merge on top for maximal duplication.
+        // Overlapping coverage: per-layer checks over [0, mid+1) and
+        // [mid.saturating_sub(1), n) double-check the boundary layers, plus a full-pass
+        // merge on top for maximal duplication.
         let n = sizes.len();
         let mid = split.min(n - 1);
         let mut acc = Vec::new();
-        let mut merged = radar.detect_layers_with_scratch(&model, 0..(mid + 1).min(n), &mut acc);
-        merged.merge(&radar.detect_layers_with_scratch(&model, mid.saturating_sub(1)..n, &mut acc));
+        let mut merged = DetectionReport::default();
+        for layer in (0..(mid + 1).min(n)).chain(mid.saturating_sub(1)..n) {
+            merged.merge(&radar.verify_layer_values_with_scratch(
+                layer,
+                model.layer_values(layer),
+                &mut acc,
+            ));
+        }
         merged.merge(&radar.detect(&model));
         let (full, expected_recovery) = radar_twin.detect_and_recover(&mut twin);
         prop_assert_eq!(&merged, &full, "merged overlapping ranges diverge from full detect");

@@ -86,7 +86,7 @@ mod tests {
         dram.flip_bit(offset, MSB);
         let mut buf = Vec::new();
         dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = radar.verify_layer_values_with_scratch(2, &buf, &mut Vec::new());
         assert!(report.attack_detected());
 
         let recovery = recover_in_dram(&mut radar, &mut dram, &report);
@@ -104,7 +104,7 @@ mod tests {
         dram.flip_bit(dram.offset_of(2, 5), MSB);
         let mut buf = Vec::new();
         dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = radar.verify_layer_values_with_scratch(2, &buf, &mut Vec::new());
 
         let first = recover_in_dram(&mut radar, &mut dram, &report);
         assert_eq!(first.groups_zeroed, 1);
@@ -129,7 +129,7 @@ mod tests {
         dram.flip_bit(dram.offset_of(2, 5), MSB);
         let mut buf = Vec::new();
         dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = radar.verify_layer_values_with_scratch(2, &buf, &mut Vec::new());
         assert_eq!(report.num_flagged(), 1);
         // A second flip lands in the same layer after the report was taken.
         dram.flip_bit(dram.offset_of(2, 80), MSB);
@@ -138,6 +138,8 @@ mod tests {
         assert_eq!(dram.read(dram.offset_of(2, 5)), 0);
         assert_eq!(dram.read(dram.offset_of(2, 80)), 0);
         dram.read_layer_into(2, &mut buf);
-        assert!(!radar.verify_layer_values(2, &buf).attack_detected());
+        assert!(!radar
+            .verify_layer_values_with_scratch(2, &buf, &mut Vec::new())
+            .attack_detected());
     }
 }

@@ -200,11 +200,10 @@ mod tests {
     }
 
     /// The split reference for the fused build: copy every layer out of DRAM, then
-    /// verify the copied slice in a second pass under `epoch`.
+    /// verify the copied slice in a second pass under the current epoch.
     fn split_fetch_verify(
         dram: &WeightDram,
         radar: &RadarProtection,
-        epoch: KeyEpoch,
         layers: &mut Vec<Vec<i8>>,
     ) -> DetectionReport {
         layers.resize_with(dram.num_layers(), Vec::new);
@@ -212,9 +211,7 @@ mod tests {
         let mut flagged = DetectionReport::default();
         for (layer, buf) in layers.iter_mut().enumerate() {
             dram.read_layer_into(layer, buf);
-            flagged.merge(
-                &radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, &mut acc),
-            );
+            flagged.merge(&radar.verify_layer_values_with_scratch(layer, buf, &mut acc));
         }
         flagged
     }
@@ -248,7 +245,7 @@ mod tests {
         let (radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
         let mut split = Vec::new();
-        let split_report = split_fetch_verify(&dram, &radar, radar.current_epoch(), &mut split);
+        let split_report = split_fetch_verify(&dram, &radar, &mut split);
         let (mut snap, mut acc, mut checking) = (Vec::new(), Vec::new(), Duration::ZERO);
         let snap_report = build_snapshot(
             &dram,
@@ -360,7 +357,9 @@ mod tests {
             RotationAction::Published(_)
         ) {}
         dram.read_layer_into(0, &mut buf);
-        assert!(!radar.verify_layer_values(0, &buf).attack_detected());
+        assert!(!radar
+            .verify_layer_values_with_scratch(0, &buf, &mut Vec::new())
+            .attack_detected());
     }
 
     #[test]

@@ -67,7 +67,11 @@ fn mid_inference_flip_is_caught_by_the_next_scrub_sweep() {
             dram.flip_bit(dram.offset_of(victim.0, victim.1), MSB);
         }
         dram.fetch_layer_into(&mut model, layer);
-        inpath.merge(&radar.detect_layers_with_scratch(&model, layer..layer + 1, &mut acc));
+        inpath.merge(&radar.verify_layer_values_with_scratch(
+            layer,
+            model.layer_values(layer),
+            &mut acc,
+        ));
     }
     assert!(
         !inpath.attack_detected(),
@@ -115,7 +119,7 @@ fn recovery_is_idempotent_under_concurrent_scrub_and_inpath_detection() {
     // Both detectors observe the corruption independently, before any recovery.
     let mut buf = Vec::new();
     dram.read_layer_into(victim.0, &mut buf);
-    let scrub_report = radar.verify_layer_values(victim.0, &buf);
+    let scrub_report = radar.verify_layer_values_with_scratch(victim.0, &buf, &mut Vec::new());
     let inpath_report = scrub_report.clone();
     assert!(scrub_report.attack_detected());
 
@@ -326,7 +330,7 @@ fn engine_matches_a_sequential_split_verify_float_forward_replay() {
     };
     let (mut detections, mut groups_zeroed, mut moved) = (Vec::new(), 0usize, 0usize);
     let mut windows = Vec::new();
-    let mut buf = Vec::new();
+    let (mut buf, mut acc) = (Vec::new(), Vec::new());
     let samples = schedule.sample_indices(eval.len());
     for (batch, sample_ids) in samples.chunks(cfg.max_batch).enumerate() {
         while let Some(event) = timeline.pop_due(batch) {
@@ -335,7 +339,7 @@ fn engine_matches_a_sequential_split_verify_float_forward_replay() {
         let mut flagged = DetectionReport::default();
         for layer in 0..dram.num_layers() {
             dram.read_layer_into(layer, &mut buf);
-            flagged.merge(&radar.verify_layer_values(layer, &buf));
+            flagged.merge(&radar.verify_layer_values_with_scratch(layer, &buf, &mut acc));
         }
         let subset = eval.subset(sample_ids);
         let labels = subset.labels();

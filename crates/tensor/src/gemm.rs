@@ -43,9 +43,8 @@
 //! # Threading
 //!
 //! The two integer kernels split their output rows (or, when there are fewer rows
-//! than workers, their output columns) across `std::thread::scope` workers — the
-//! same pattern `radar-core`'s `detect_parallel` uses for layer shards. The count
-//! comes from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS`
+//! than workers, their output columns) across `std::thread::scope` workers. The
+//! count comes from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS`
 //! environment knob (and an in-process override, [`set_gemm_threads`], used by the
 //! benchmarks). Every
 //! output element is computed by exactly one worker with the same accumulation order

@@ -19,7 +19,8 @@
 //! // layer at a time through it.
 //! assert_eq!(radar.plan().num_layers(), model.num_layers());
 //! let mut acc = Vec::new();
-//! assert!(!radar.detect_layers_with_scratch(&model, 0..1, &mut acc).attack_detected());
+//! let report = radar.verify_layer_values_with_scratch(0, model.layer_values(0), &mut acc);
+//! assert!(!report.attack_detected());
 //! ```
 
 pub use radar_archsim as archsim;
