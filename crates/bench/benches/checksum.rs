@@ -7,8 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radar_core::{
-    gather_signatures, group_signature, masked_sum, GroupLayout, Grouping, LayerPlan, SecretKey,
-    SignatureBits,
+    gather_signatures, masked_sum, GroupLayout, Grouping, LayerPlan, SecretKey, SignatureBits,
 };
 
 fn bench_masked_sum(c: &mut Criterion) {
@@ -35,12 +34,12 @@ fn bench_layer_signing(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let layout = GroupLayout::new(weights.len(), 512, grouping);
-                let mut sigs = Vec::with_capacity(layout.num_groups());
-                for g in 0..layout.num_groups() {
-                    let vals: Vec<i8> = layout.members(g).iter().map(|&i| weights[i]).collect();
-                    sigs.push(group_signature(&vals, &key, SignatureBits::Two));
-                }
-                black_box(sigs)
+                black_box(gather_signatures(
+                    &weights,
+                    &layout,
+                    &key,
+                    SignatureBits::Two,
+                ))
             })
         });
     }

@@ -16,7 +16,9 @@ fn main() {
     // Platform-model experiments (cheap, no training needed).
     timing::table4().print_and_save("table4_time_overhead");
     timing::table5().print_and_save("table5_crc_comparison");
-    verify::bench_verify(&budget).print_and_save("bench_verify");
+    verify::bench_verify(&budget)
+        .report
+        .print_and_save("bench_verify");
     let infer_outcome = infer::bench_infer(&infer::InferBenchParams::default_run());
     infer_outcome.report().print_and_save("bench_infer");
     infer_outcome.write_json();

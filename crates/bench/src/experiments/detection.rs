@@ -107,7 +107,7 @@ pub fn missrate(trials: usize) -> Report {
             // Golden signatures.
             let golden: Vec<u8> = (0..layout.num_groups())
                 .map(|grp| {
-                    let vals: Vec<i8> = layout.members(grp).iter().map(|&i| weights[i]).collect();
+                    let vals: Vec<i8> = layout.members(grp).map(|i| weights[i]).collect();
                     group_signature(&vals, &key, SignatureBits::Two)
                 })
                 .collect();
@@ -120,7 +120,7 @@ pub fn missrate(trials: usize) -> Report {
             let mut any_flagged = false;
             let mut flagged = vec![false; layout.num_groups()];
             for (grp, &gold) in golden.iter().enumerate() {
-                let vals: Vec<i8> = layout.members(grp).iter().map(|&i| weights[i]).collect();
+                let vals: Vec<i8> = layout.members(grp).map(|i| weights[i]).collect();
                 if group_signature(&vals, &key, SignatureBits::Two) != gold {
                     flagged[grp] = true;
                     any_flagged = true;

@@ -145,11 +145,11 @@ fn learn_layers(
     let learner = KeyLearner::new(config.signature_bits);
     let mut results = Vec::new();
     for layer in 0..layers.min(signer.num_layers()) {
-        let layout = protection.layers()[layer].layout();
+        let layout = protection.plan().layer(layer).layout();
         let weights = signer.layer_values(layer);
         let observations: Vec<KeyObservation> = (0..layout.num_groups())
             .map(|g| KeyObservation {
-                values: layout.members(g).iter().map(|&i| weights[i]).collect(),
+                values: layout.members(g).map(|i| weights[i]).collect(),
                 signature: protection.golden().signature(layer, g),
             })
             .collect();

@@ -287,7 +287,7 @@ impl WeightDram {
             "layer count mismatch"
         );
         assert_eq!(
-            radar.layers().len(),
+            radar.plan().num_layers(),
             self.layer_offsets.len(),
             "layer count mismatch"
         );

@@ -37,10 +37,9 @@ impl Grouping {
 ///
 /// let layout = GroupLayout::new(128, 16, Grouping::interleaved());
 /// assert_eq!(layout.num_groups(), 8);
-/// let members = layout.members(0);
-/// assert!(members.len() <= 16);
+/// assert!(layout.members(0).count() <= 16);
 /// // Every member maps back to group 0.
-/// assert!(members.iter().all(|&i| layout.group_of(i) == 0));
+/// assert!(layout.members(0).all(|i| layout.group_of(i) == 0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupLayout {
@@ -139,44 +138,66 @@ impl GroupLayout {
         }
     }
 
-    /// The original weight indices belonging to `group`, in slot order. Padded slots
-    /// (beyond the end of the layer) are omitted.
+    /// The original weight indices belonging to `group`, in slot order, as an
+    /// allocation-free iterator. Padded slots (beyond the end of the layer) are
+    /// omitted.
     ///
     /// # Panics
     ///
     /// Panics if `group >= num_groups`.
-    pub fn members(&self, group: usize) -> Vec<usize> {
+    pub fn members(&self, group: usize) -> Members {
         assert!(
             group < self.num_groups,
             "group {group} out of bounds for {} groups",
             self.num_groups
         );
-        match self.grouping {
-            Grouping::Contiguous => {
-                let start = group * self.group_size;
-                let end = (start + self.group_size).min(self.len);
-                (start..end).collect()
-            }
-            Grouping::Interleaved { offset } => {
-                let mut members = Vec::with_capacity(self.group_size);
-                // padded length is num_groups * ceil(padded_rows); rows run 0..group_size
-                let rows = self.padded_len() / self.num_groups;
-                for row in 0..rows {
-                    let col = (group + self.num_groups - (row * offset) % self.num_groups)
-                        % self.num_groups;
-                    let index = row * self.num_groups + col;
-                    if index < self.len {
-                        members.push(index);
-                    }
-                }
-                members
-            }
+        Members {
+            layout: *self,
+            group,
+            slots: 0..self.group_size,
         }
     }
 
     /// Layer length rounded up to a whole number of groups.
     pub fn padded_len(&self) -> usize {
         self.num_groups * self.group_size
+    }
+}
+
+/// One group's original weight indices in slot order; see [`GroupLayout::members`].
+///
+/// Slot `s` of group `g` is weight `g·G + s` under contiguous grouping and, under
+/// interleaving with `n` groups and offset `t`, weight `s·n + ((g − s·t) mod n)` —
+/// slot-row `s`, rotated back by `s·t`.
+#[derive(Debug, Clone)]
+pub struct Members {
+    layout: GroupLayout,
+    group: usize,
+    slots: std::ops::Range<usize>,
+}
+
+impl Iterator for Members {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let GroupLayout {
+            len,
+            group_size,
+            num_groups: n,
+            grouping,
+        } = self.layout;
+        for slot in self.slots.by_ref() {
+            let index = match grouping {
+                Grouping::Contiguous => self.group * group_size + slot,
+                Grouping::Interleaved { offset } => {
+                    slot * n + (self.group + n - (slot * offset) % n) % n
+                }
+            };
+            if index < len {
+                return Some(index);
+            }
+        }
+        None
     }
 }
 
@@ -191,13 +212,13 @@ mod tests {
         assert_eq!(layout.group_of(0), 0);
         assert_eq!(layout.group_of(15), 0);
         assert_eq!(layout.group_of(16), 1);
-        assert_eq!(layout.members(6), (96..100).collect::<Vec<_>>());
+        assert!(layout.members(6).eq(96..100));
     }
 
     #[test]
     fn interleaved_members_are_scattered() {
         let layout = GroupLayout::new(128, 16, Grouping::interleaved());
-        let members = layout.members(0);
+        let members: Vec<usize> = layout.members(0).collect();
         assert_eq!(members.len(), 16);
         // Consecutive members differ by at least num_groups - offset.
         for pair in members.windows(2) {
@@ -217,7 +238,7 @@ mod tests {
         ] {
             let layout = GroupLayout::new(200, 32, grouping);
             for g in 0..layout.num_groups() {
-                for &i in &layout.members(g) {
+                for i in layout.members(g) {
                     assert_eq!(
                         layout.group_of(i),
                         g,
@@ -234,7 +255,7 @@ mod tests {
             let layout = GroupLayout::new(150, 16, grouping);
             let mut seen = vec![0usize; 150];
             for g in 0..layout.num_groups() {
-                for &i in &layout.members(g) {
+                for i in layout.members(g) {
                     seen[i] += 1;
                 }
             }
@@ -249,14 +270,10 @@ mod tests {
     fn slots_are_unique_within_a_group() {
         let layout = GroupLayout::new(128, 16, Grouping::interleaved());
         for g in 0..layout.num_groups() {
-            let mut slots: Vec<usize> = layout
-                .members(g)
-                .iter()
-                .map(|&i| layout.slot_of(i))
-                .collect();
+            let mut slots: Vec<usize> = layout.members(g).map(|i| layout.slot_of(i)).collect();
             slots.sort_unstable();
             slots.dedup();
-            assert_eq!(slots.len(), layout.members(g).len());
+            assert_eq!(slots.len(), layout.members(g).count());
         }
     }
 

@@ -19,10 +19,12 @@
 //!    ([`RadarProtection::detect`]) and **recovering** by zeroing every weight of a
 //!    flagged group ([`RadarProtection::recover`]).
 //!
-//! Detection streams through a [`VerifyPlan`] compiled at signing time: per layer, a
-//! flat slot-ordered member permutation, a group-offset table and a per-weight ±1
-//! key-mask vector ([`LayerPlan`]), so every run-time pass is one sequential sweep over
-//! the layer's weights in fetch order — no per-group gathers, no allocations.
+//! Detection streams through a [`VerifyPlan`] compiled at signing time: per layer,
+//! only the layout, the key and one ±1 sign per slot ([`LayerPlan`]). The group
+//! mapping is closed-form, so every run-time pass is one sequential sweep over the
+//! layer's weights in fetch order — contiguous groups as masked dot products,
+//! interleaved slot-rows folded into rotated accumulators — with no per-weight
+//! tables, no gathers and no allocations.
 //! Besides the model-level [`RadarProtection::detect`], two per-layer entry points
 //! expose the fetch-path granularity: [`RadarProtection::verify_layer_values_with_scratch`]
 //! checks values already on chip (scrubbing, pre-resign and post-recovery checks), and
@@ -63,13 +65,11 @@ mod signature;
 mod store;
 
 pub use config::RadarConfig;
-pub use grouping::{GroupLayout, Grouping};
+pub use grouping::{GroupLayout, Grouping, Members};
 pub use key::{KeyEpoch, KeySchedule, MasterSecret, SecretKey, KEY_BITS};
 pub use plan::{LayerPlan, VerifyPlan, VERIFY_LANES, VERIFY_SWEEPS};
 pub use protected::{ProtectedModel, ProtectionStats};
-pub use protection::{
-    DetectionReport, FlaggedGroup, LayerProtection, RadarProtection, RecoveryReport,
-};
+pub use protection::{DetectionReport, FlaggedGroup, RadarProtection, RecoveryReport};
 pub use signature::{
     binarize, gather_signatures, group_signature, masked_sum, SignatureBits, MAX_GROUP_LEN,
 };

@@ -1,4 +1,4 @@
-use crate::grouping::GroupLayout;
+use crate::grouping::{GroupLayout, Grouping};
 use crate::key::{KeyEpoch, SecretKey};
 use crate::signature::{binarize, SignatureBits};
 
@@ -10,30 +10,26 @@ use crate::signature::{binarize, SignatureBits};
 /// load and a branch.
 pub static VERIFY_SWEEPS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
 
-/// Fixed lane width of the verify sweep's inner loop. Both [`LayerPlan::accumulate`]
-/// and [`LayerPlan::copy_accumulate`] process `chunks_exact(VERIFY_LANES)` blocks of
-/// i8×i8→i32 widening multiplies into a lane-local accumulator array — the same shape
-/// as the GEMM micro-kernel's fixed-width inner tile, chosen so the compiler
-/// autovectorizes the multiply/widen without any unsafe SIMD intrinsics.
+/// Fixed lane width of the contiguous verify sweep's inner loop: each group is a
+/// `chunks_exact(VERIFY_LANES)` dot product of i8×i8→i32 widening multiplies into a
+/// lane-local accumulator array — the same shape as the GEMM micro-kernel's
+/// fixed-width inner tile, chosen so the compiler autovectorizes the multiply/widen
+/// without any unsafe SIMD intrinsics.
 pub const VERIFY_LANES: usize = 16;
 
-/// Precomputed verification plan for one layer: everything the run-time check needs to
-/// turn signature computation into a single sequential sweep over the layer's weights.
+/// Precomputed verification plan for one layer: the layout, the key and the key's
+/// ±1 sign of every slot — at most `G` bytes, whatever the layer's size.
 ///
-/// The gather-based path recomputes the interleave mapping per weight and allocates a
-/// member list per group on every pass. A `LayerPlan` hoists all of that to signing
-/// time:
+/// The group mapping is closed-form, so the plan stores no per-weight or per-group
+/// table. Detection reads the weights in storage order — the order the hardware's
+/// weight-fetch path streams them in — one chunk at a time:
 ///
-/// * `group_index[i]` — the group weight `i` scatter-adds into,
-/// * `mask[i]` — the ±1 key mask of weight `i`'s slot, expanded from the 16-bit
-///   [`SecretKey`] so the hot loop never touches key bit arithmetic,
-/// * `members` / `group_offsets` — a flat slot-ordered member permutation in CSR form,
-///   so recovery can walk a group's original weight indices as a slice without
-///   allocating.
-///
-/// Detection then reads the weights in storage order — the same order the hardware's
-/// weight-fetch path streams them in — and accumulates `mask[i] * w[i]` into per-group
-/// `i32` accumulators: zero allocations after construction.
+/// * **contiguous** grouping: each `G`-chunk is one group, whose masked sum is a
+///   fixed-width dot product with the sign table;
+/// * **interleaved** grouping with `n` groups and offset `t`: each `n`-chunk is
+///   slot-row `r`, whose weight `c` belongs to group `(c + r·t) mod n`. The row is
+///   added, times `signs[r]`, into the `n` accumulators rotated by `(r·t) mod n` —
+///   two contiguous slices, no gather.
 ///
 /// # Example
 ///
@@ -50,63 +46,17 @@ pub const VERIFY_LANES: usize = 16;
 pub struct LayerPlan {
     layout: GroupLayout,
     key: SecretKey,
-    /// Group of each weight index, in storage order.
-    group_index: Vec<u32>,
-    /// ±1 key mask of each weight index (the key bit of the weight's slot).
-    mask: Vec<i8>,
-    /// Original weight indices ordered by `(group, slot)`.
-    members: Vec<u32>,
-    /// CSR offsets into `members`: group `g` owns `members[offsets[g]..offsets[g + 1]]`.
-    group_offsets: Vec<u32>,
-    /// The ±1 key mask permuted into `members` order, so a group's masks are one
-    /// contiguous slice and the per-group sweep is a fixed-width dot product.
-    slot_mask: Vec<i8>,
-    /// Whether `members` is the identity permutation (contiguous grouping): the
-    /// per-group sweep then reads the weights as a contiguous slice, gather-free.
-    identity_members: bool,
+    /// The ±1 key mask of each slot `0..G`.
+    signs: Vec<i8>,
 }
 
 impl LayerPlan {
     /// Precomputes the streaming plan for `layout` under `key`.
     pub fn new(layout: GroupLayout, key: SecretKey) -> Self {
-        let len = layout.len();
-        let num_groups = layout.num_groups();
-        let mut group_index = Vec::with_capacity(len);
-        let mut mask = Vec::with_capacity(len);
-        for i in 0..len {
-            group_index.push(layout.group_of(i) as u32);
-            mask.push(key.mask(layout.slot_of(i)) as i8);
-        }
-
-        // Counting sort of weight indices by group. Ascending weight index within a
-        // group is ascending slot for both groupings (contiguous: slot = i % G;
-        // interleaved: slot = i / num_groups), so each bucket comes out slot-ordered.
-        let mut group_offsets = vec![0u32; num_groups + 1];
-        for &g in &group_index {
-            group_offsets[g as usize + 1] += 1;
-        }
-        for g in 0..num_groups {
-            group_offsets[g + 1] += group_offsets[g];
-        }
-        let mut members = vec![0u32; len];
-        let mut cursor: Vec<u32> = group_offsets[..num_groups].to_vec();
-        for (i, &g) in group_index.iter().enumerate() {
-            members[cursor[g as usize] as usize] = i as u32;
-            cursor[g as usize] += 1;
-        }
-        let slot_mask: Vec<i8> = members.iter().map(|&i| mask[i as usize]).collect();
-        let identity_members = members.iter().enumerate().all(|(j, &i)| i as usize == j);
-
-        LayerPlan {
-            layout,
-            key,
-            group_index,
-            mask,
-            members,
-            group_offsets,
-            slot_mask,
-            identity_members,
-        }
+        let signs = (0..layout.group_size())
+            .map(|slot| key.mask(slot) as i8)
+            .collect();
+        LayerPlan { layout, key, signs }
     }
 
     /// The layout this plan was compiled from.
@@ -134,38 +84,35 @@ impl LayerPlan {
         self.layout.num_groups()
     }
 
-    /// The ±1 key-mask vector, one entry per weight in storage order.
-    pub fn mask(&self) -> &[i8] {
-        &self.mask
+    /// Weights per storage-order chunk of the sweep: one group (`G`) under
+    /// contiguous grouping, one slot-row (`num_groups`) under interleaving.
+    fn step(&self) -> usize {
+        match self.layout.grouping() {
+            Grouping::Contiguous => self.layout.group_size(),
+            Grouping::Interleaved { .. } => self.num_groups(),
+        }
     }
 
-    /// The original weight indices of `group`, in slot order, as a borrowed slice —
-    /// the allocation-free replacement for [`GroupLayout::members`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group >= num_groups`.
-    pub fn group_members(&self, group: usize) -> &[u32] {
-        assert!(
-            group < self.num_groups(),
-            "group {group} out of bounds for {} groups",
-            self.num_groups()
-        );
-        &self.members[self.group_offsets[group] as usize..self.group_offsets[group + 1] as usize]
+    /// Folds storage-order chunk `k` (see [`step`](Self::step)) into `acc`, which is
+    /// exactly `num_groups` wide and zeroed before the first chunk.
+    #[inline]
+    fn fold_chunk(&self, k: usize, chunk: &[i8], acc: &mut [i32]) {
+        match self.layout.grouping() {
+            Grouping::Contiguous => acc[k] = dot_masked(chunk, &self.signs[..chunk.len()]),
+            Grouping::Interleaved { offset } => {
+                fold_row(acc, chunk, self.signs[k], (k * offset) % acc.len());
+            }
+        }
     }
 
-    /// One-pass masked accumulation: walks the groups through the CSR slot-ordered
-    /// permutation and writes each group's masked sum into `acc[group]`. The inner
-    /// loop is a fixed-width ([`VERIFY_LANES`]) i8×i8→i32 widening dot product over
-    /// the permuted `slot_mask` table — contiguous groupings read the weights as a
-    /// straight slice, interleaved groupings gather a lane block first — so the
-    /// multiply/widen/add autovectorizes. The first `num_groups` entries of `acc`
-    /// are overwritten; entries beyond that are left untouched so one scratch buffer
-    /// can be shared across layers of different widths.
+    /// One storage-order sweep that writes every group's masked sum into
+    /// `acc[group]`. The first `num_groups` entries of `acc` are overwritten; entries
+    /// beyond that are left untouched so one scratch buffer can be shared across
+    /// layers of different widths.
     ///
-    /// Every sum is the same multiset of exact `i32` terms the storage-order scatter
-    /// sweep produced, so results are bit-identical to that historical path (pinned
-    /// by the `plan_equivalence` proptests).
+    /// Every sum is the same multiset of exact `i32` terms the per-group gather
+    /// ([`gather_signatures`](crate::gather_signatures)) adds up, so results are
+    /// bit-identical to it (pinned by the `plan_equivalence` proptests).
     ///
     /// # Panics
     ///
@@ -177,54 +124,22 @@ impl LayerPlan {
             self.len(),
             "weight count changed since the plan was built"
         );
-        let num_groups = self.num_groups();
-        assert!(
-            acc.len() >= num_groups,
-            "accumulator holds {} entries, need {num_groups}",
-            acc.len()
-        );
-        VERIFY_SWEEPS.add(1);
-        self.accumulate_inner(weights, &mut acc[..num_groups]);
-    }
-
-    /// The group-major sweep shared by [`accumulate`](Self::accumulate) and the
-    /// fused [`copy_accumulate`](Self::copy_accumulate): callers own the asserts
-    /// and the [`VERIFY_SWEEPS`] tick, `acc` is exactly `num_groups` wide.
-    fn accumulate_inner(&self, weights: &[i8], acc: &mut [i32]) {
-        for (g, slot) in acc.iter_mut().enumerate() {
-            let start = self.group_offsets[g] as usize;
-            let end = self.group_offsets[g + 1] as usize;
-            let masks = &self.slot_mask[start..end];
-            *slot = if self.identity_members {
-                dot_masked(&weights[start..end], masks)
-            } else {
-                dot_masked_gather(weights, &self.members[start..end], masks)
-            };
+        let acc = self.begin_sweep(acc);
+        for (k, chunk) in weights.chunks(self.step()).enumerate() {
+            self.fold_chunk(k, chunk, acc);
         }
     }
 
     /// Fused fetch-and-verify sweep: copies the layer's raw DRAM bytes into `dst`
     /// (reinterpreted as two's-complement `i8`, exactly as the weight-fetch path
-    /// does) while computing every group's masked sum in the same sweep — one pass
-    /// over the bytes where the serving path previously paid a copy pass plus a
-    /// verify pass. Like [`accumulate`](Self::accumulate) the sweep is group-major
-    /// over the CSR slot-ordered permutation, so the inner loop stays the
-    /// fixed-width ([`VERIFY_LANES`]) i8×i8→i32 widening dot that autovectorizes;
-    /// there is no per-element scatter and no `group_index` metadata traffic.
-    ///
-    /// Contiguous groupings walk the groups in storage order, widening each lane
-    /// block into `dst` and folding it into the group's dot product in the same
-    /// step — a true single pass. Interleaved groupings first widen the whole
-    /// layer into `dst` (a straight byte copy: the `u8 → i8` reinterpretation is
-    /// a no-op bit cast) and then run the planned gather sweep over the
-    /// still-cache-hot copy, so the bytes are read from DRAM once instead of
-    /// twice.
+    /// does) while computing every group's masked sum in the same pass. Each
+    /// storage-order chunk is appended to `dst` and the just-written, cache-hot
+    /// slice is folded into `acc` as in [`accumulate`](Self::accumulate) — one read
+    /// of the bytes where a split fetch pays a copy pass plus a verify pass.
     ///
     /// `dst` is cleared first and `acc`'s first `num_groups` entries are
-    /// overwritten. `i32` addition is exact, so the group-major summation order is
-    /// bit-identical to `read + copy` followed by
-    /// [`accumulate`](Self::accumulate) and to the historical storage-order
-    /// scatter (pinned by the `plan_equivalence` proptests).
+    /// overwritten, bit-identical to `read + copy` followed by
+    /// [`accumulate`](Self::accumulate).
     ///
     /// # Panics
     ///
@@ -236,6 +151,19 @@ impl LayerPlan {
             self.len(),
             "byte count changed since the plan was built"
         );
+        let acc = self.begin_sweep(acc);
+        dst.clear();
+        dst.reserve(src.len());
+        for (k, chunk) in src.chunks(self.step()).enumerate() {
+            let start = dst.len();
+            dst.extend(chunk.iter().map(|&b| i8::from_ne_bytes([b])));
+            self.fold_chunk(k, &dst[start..], acc);
+        }
+    }
+
+    /// The shared prologue of both sweeps: checks `acc`'s size, ticks
+    /// [`VERIFY_SWEEPS`] and returns the zeroed `num_groups`-wide accumulator.
+    fn begin_sweep<'a>(&self, acc: &'a mut [i32]) -> &'a mut [i32] {
         let num_groups = self.num_groups();
         assert!(
             acc.len() >= num_groups,
@@ -244,18 +172,8 @@ impl LayerPlan {
         );
         VERIFY_SWEEPS.add(1);
         let acc = &mut acc[..num_groups];
-        dst.clear();
-        dst.reserve(src.len());
-        if self.identity_members {
-            for (g, slot) in acc.iter_mut().enumerate() {
-                let start = self.group_offsets[g] as usize;
-                let end = self.group_offsets[g + 1] as usize;
-                *slot = widen_dot_masked(&src[start..end], &self.slot_mask[start..end], dst);
-            }
-        } else {
-            dst.extend(src.iter().map(|&b| i8::from_ne_bytes([b])));
-            self.accumulate_inner(dst, acc);
-        }
+        acc.fill(0);
+        acc
     }
 
     /// Streams the layer once and writes every group's signature into `out` (cleared
@@ -312,61 +230,28 @@ fn dot_masked(weights: &[i8], masks: &[i8]) -> i32 {
     total
 }
 
-/// [`dot_masked`] fused with the byte fetch: widens each lane block of raw DRAM
-/// bytes into `dst` (two's-complement reinterpretation, a no-op bit cast) and
-/// folds the same block into the masked dot in one step. Contiguous groups are
-/// storage-order slices, so appending per group fills `dst` in layer order.
+/// Adds `sign · row` into the `n` group accumulators rotated by `rot`: element `c`
+/// of an interleaved slot-row lands in `acc[(c + rot) mod n]`. That is two
+/// contiguous slices — the row's head into `acc[rot..]`, its wrapped rest into
+/// `acc[..rot]` — so both adds autovectorize. A ragged last row is simply shorter.
 #[inline]
-fn widen_dot_masked(bytes: &[u8], masks: &[i8], dst: &mut Vec<i8>) -> i32 {
-    let mut lanes = [0i32; VERIFY_LANES];
-    let mut b = bytes.chunks_exact(VERIFY_LANES);
-    let mut m = masks.chunks_exact(VERIFY_LANES);
-    for (bc, mc) in (&mut b).zip(&mut m) {
-        let mut w = [0i8; VERIFY_LANES];
-        for (lane, &byte) in w.iter_mut().zip(bc) {
-            *lane = i8::from_ne_bytes([byte]);
-        }
-        dst.extend_from_slice(&w);
-        for lane in 0..VERIFY_LANES {
-            lanes[lane] += i32::from(w[lane]) * i32::from(mc[lane]);
-        }
+fn fold_row(acc: &mut [i32], row: &[i8], sign: i8, rot: usize) {
+    let (wrapped_acc, head_acc) = acc.split_at_mut(rot);
+    let (head, wrapped) = row.split_at(row.len().min(head_acc.len()));
+    let sign = i32::from(sign);
+    for (a, &w) in head_acc.iter_mut().zip(head) {
+        *a += sign * i32::from(w);
     }
-    let mut total: i32 = lanes.iter().sum();
-    for (&byte, &mv) in b.remainder().iter().zip(m.remainder()) {
-        let w = i8::from_ne_bytes([byte]);
-        dst.push(w);
-        total += i32::from(w) * i32::from(mv);
+    for (a, &w) in wrapped_acc.iter_mut().zip(wrapped) {
+        *a += sign * i32::from(w);
     }
-    total
-}
-
-/// [`dot_masked`] for permuted (interleaved) groups: gathers each lane block of
-/// weights through the CSR member indices into a stack buffer, then runs the same
-/// fixed-width widening multiply — the gather is scalar, the arithmetic is not.
-#[inline]
-fn dot_masked_gather(weights: &[i8], members: &[u32], masks: &[i8]) -> i32 {
-    let mut lanes = [0i32; VERIFY_LANES];
-    let mut idx = members.chunks_exact(VERIFY_LANES);
-    let mut m = masks.chunks_exact(VERIFY_LANES);
-    for (ic, mc) in (&mut idx).zip(&mut m) {
-        let mut w = [0i8; VERIFY_LANES];
-        for (lane, &i) in w.iter_mut().zip(ic) {
-            *lane = weights[i as usize];
-        }
-        for lane in 0..VERIFY_LANES {
-            lanes[lane] += i32::from(w[lane]) * i32::from(mc[lane]);
-        }
-    }
-    let mut total: i32 = lanes.iter().sum();
-    for (&i, &mv) in idx.remainder().iter().zip(m.remainder()) {
-        total += i32::from(weights[i as usize]) * i32::from(mv);
-    }
-    total
 }
 
 /// The verification plan of a whole model: one [`LayerPlan`] per protected layer plus
 /// the signature width, precomputed at signing time so every run-time detection pass is
-/// a sequential, allocation-free sweep in weight-fetch order.
+/// a sequential, allocation-free sweep in weight-fetch order. It is also where each
+/// layer's key and layout live: callers read them off
+/// [`layer(l)`](Self::layer)`.key()` / `.layout()`.
 ///
 /// Like the golden [`SignatureStore`](crate::SignatureStore), a plan is versioned by
 /// the [`KeyEpoch`] its keys were derived for: verifying weights against a store from
@@ -462,7 +347,6 @@ impl VerifyPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::Grouping;
     use crate::signature::gather_signatures;
 
     fn weights(len: usize) -> Vec<i8> {
@@ -491,28 +375,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn group_members_match_layout_members_in_slot_order() {
-        for grouping in [Grouping::Contiguous, Grouping::interleaved()] {
-            let layout = GroupLayout::new(150, 16, grouping);
-            let plan = LayerPlan::new(layout, SecretKey::insecure_unmasked());
-            for g in 0..layout.num_groups() {
-                let expected: Vec<u32> = layout.members(g).iter().map(|&i| i as u32).collect();
-                assert_eq!(plan.group_members(g), expected.as_slice(), "group {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn mask_expands_key_by_slot() {
-        let layout = GroupLayout::new(64, 8, Grouping::interleaved());
-        let key = SecretKey::new(0xACE1);
-        let plan = LayerPlan::new(layout, key);
-        for i in 0..layout.len() {
-            assert_eq!(i32::from(plan.mask()[i]), key.mask(layout.slot_of(i)));
         }
     }
 
@@ -557,20 +419,6 @@ mod tests {
                 assert_eq!(acc, expect, "{grouping:?} len={len} G={g}");
             }
         }
-    }
-
-    #[test]
-    fn identity_permutation_is_detected_for_contiguous_grouping_only() {
-        let contiguous = LayerPlan::new(
-            GroupLayout::new(96, 16, Grouping::Contiguous),
-            SecretKey::new(0xACE1),
-        );
-        let interleaved = LayerPlan::new(
-            GroupLayout::new(96, 16, Grouping::interleaved()),
-            SecretKey::new(0xACE1),
-        );
-        assert!(contiguous.identity_members);
-        assert!(!interleaved.identity_members);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl ProtectedModel {
     pub fn verify_and_recover(&mut self) -> (DetectionReport, RecoveryReport) {
         assert_eq!(
             self.model.num_layers(),
-            self.protection.layers().len(),
+            self.protection.plan().num_layers(),
             "model layer count changed since signing"
         );
         let mut report = DetectionReport::default();

@@ -1,30 +1,11 @@
 use radar_quant::QuantizedModel;
 
 use crate::config::RadarConfig;
-use crate::grouping::GroupLayout;
+use crate::grouping::{GroupLayout, Members};
 use crate::key::{KeyEpoch, KeySchedule, SecretKey};
-use crate::plan::VerifyPlan;
+use crate::plan::{LayerPlan, VerifyPlan};
 use crate::signature::binarize;
 use crate::store::SignatureStore;
-
-/// Per-layer protection state: the layer's secret key and group layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerProtection {
-    key: SecretKey,
-    layout: GroupLayout,
-}
-
-impl LayerProtection {
-    /// The layer's secret key.
-    pub fn key(&self) -> SecretKey {
-        self.key
-    }
-
-    /// The layer's group layout.
-    pub fn layout(&self) -> GroupLayout {
-        self.layout
-    }
-}
 
 /// A group whose run-time signature disagreed with the golden signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,13 +65,12 @@ pub struct RecoveryReport {
     pub weights_zeroed: usize,
 }
 
-/// One epoch's verification state: the per-layer keys, the compiled
-/// [`VerifyPlan`], and the golden [`SignatureStore`] — always paired, always
-/// from the same [`KeyEpoch`].
+/// One epoch's verification state: the compiled [`VerifyPlan`] (per-layer keys
+/// and layouts) and the golden [`SignatureStore`] — always paired, always from
+/// the same [`KeyEpoch`].
 #[derive(Debug, Clone, PartialEq)]
 struct EpochState {
     epoch: KeyEpoch,
-    layers: Vec<LayerProtection>,
     plan: VerifyPlan,
     golden: SignatureStore,
 }
@@ -190,12 +170,7 @@ impl RadarProtection {
             .iter()
             .map(|layer| GroupLayout::new(layer.len(), config.group_size, config.grouping))
             .collect();
-        let layers = Self::epoch_layers(&config, &schedule, &layouts, KeyEpoch::ZERO);
-        let plan = VerifyPlan::for_epoch(
-            layers.iter().map(|l| (l.layout, l.key)),
-            config.signature_bits,
-            KeyEpoch::ZERO,
-        );
+        let plan = Self::epoch_plan(&config, &schedule, &layouts, KeyEpoch::ZERO);
         let mut golden = SignatureStore::for_epoch(config.signature_bits, KeyEpoch::ZERO);
         for (layer_plan, layer) in plan.layers().iter().zip(model.layers().iter()) {
             golden
@@ -206,7 +181,6 @@ impl RadarProtection {
             schedule,
             current: EpochState {
                 epoch: KeyEpoch::ZERO,
-                layers,
                 plan,
                 golden,
             },
@@ -215,30 +189,28 @@ impl RadarProtection {
         }
     }
 
-    /// Derives the per-layer keys of `epoch` and pairs them with the layouts.
+    /// Derives the per-layer keys of `epoch` and compiles them with the layouts
+    /// into that epoch's [`VerifyPlan`].
     ///
     /// With `config.masking` disabled every layer gets the explicit
     /// [`SecretKey::insecure_unmasked`] ablation key — turning masking off in
     /// the config is the deliberate opt-in; there is no default path that
     /// lands on the unmasked key by accident.
-    fn epoch_layers(
+    fn epoch_plan(
         config: &RadarConfig,
         schedule: &KeySchedule,
         layouts: &[GroupLayout],
         epoch: KeyEpoch,
-    ) -> Vec<LayerProtection> {
-        layouts
-            .iter()
-            .enumerate()
-            .map(|(i, &layout)| {
-                let key = if config.masking {
-                    schedule.layer_key(i, epoch)
-                } else {
-                    SecretKey::insecure_unmasked()
-                };
-                LayerProtection { key, layout }
-            })
-            .collect()
+    ) -> VerifyPlan {
+        let layers = layouts.iter().enumerate().map(|(i, &layout)| {
+            let key = if config.masking {
+                schedule.layer_key(i, epoch)
+            } else {
+                SecretKey::insecure_unmasked()
+            };
+            (layout, key)
+        });
+        VerifyPlan::for_epoch(layers, config.signature_bits, epoch)
     }
 
     /// The scheme configuration.
@@ -246,12 +218,8 @@ impl RadarProtection {
         &self.config
     }
 
-    /// Per-layer protection state of the current epoch.
-    pub fn layers(&self) -> &[LayerProtection] {
-        &self.current.layers
-    }
-
-    /// The precomputed streaming verification plan of the current epoch.
+    /// The precomputed streaming verification plan of the current epoch; each
+    /// layer's key and layout are read off its [`LayerPlan`].
     pub fn plan(&self) -> &VerifyPlan {
         &self.current.plan
     }
@@ -310,13 +278,14 @@ impl RadarProtection {
                 .unwrap_or_default()
         );
         let epoch = self.current.epoch.next();
-        let layouts: Vec<GroupLayout> = self.current.layers.iter().map(|l| l.layout).collect();
-        let layers = Self::epoch_layers(&self.config, &self.schedule, &layouts, epoch);
-        let plan = VerifyPlan::for_epoch(
-            layers.iter().map(|l| (l.layout, l.key)),
-            self.config.signature_bits,
-            epoch,
-        );
+        let layouts: Vec<GroupLayout> = self
+            .current
+            .plan
+            .layers()
+            .iter()
+            .map(LayerPlan::layout)
+            .collect();
+        let plan = Self::epoch_plan(&self.config, &self.schedule, &layouts, epoch);
         let mut golden = SignatureStore::for_epoch(self.config.signature_bits, epoch);
         for layer_plan in plan.layers() {
             golden.push_layer(vec![0u8; layer_plan.num_groups()]);
@@ -324,7 +293,6 @@ impl RadarProtection {
         self.pending = Some(PendingEpoch {
             state: EpochState {
                 epoch,
-                layers,
                 plan,
                 golden,
             },
@@ -338,7 +306,7 @@ impl RadarProtection {
     pub fn next_unsigned_layer(&self) -> Option<usize> {
         self.pending
             .as_ref()
-            .filter(|p| p.resigned < p.state.layers.len())
+            .filter(|p| p.resigned < p.state.plan.num_layers())
             .map(|p| p.resigned)
     }
 
@@ -347,7 +315,7 @@ impl RadarProtection {
     pub fn rotation_complete(&self) -> bool {
         self.pending
             .as_ref()
-            .is_some_and(|p| p.resigned == p.state.layers.len())
+            .is_some_and(|p| p.resigned == p.state.plan.num_layers())
     }
 
     /// Signs one layer's `values` under the pending epoch.
@@ -392,7 +360,7 @@ impl RadarProtection {
             "cannot publish {:?}: {:?} of {} layers re-signed",
             self.pending.as_ref().map(|p| p.state.epoch),
             self.pending.as_ref().map(|p| p.resigned),
-            self.current.layers.len()
+            self.current.plan.num_layers()
         );
         let pending = self.pending.take().expect("no key roll in progress");
         let old = std::mem::replace(&mut self.current, pending.state);
@@ -427,12 +395,12 @@ impl RadarProtection {
     pub fn detect(&self, model: &QuantizedModel) -> DetectionReport {
         assert_eq!(
             model.num_layers(),
-            self.current.layers.len(),
+            self.current.plan.num_layers(),
             "model layer count changed since signing"
         );
         let mut acc = vec![0i32; self.current.plan.max_groups()];
         let mut report = DetectionReport::default();
-        for layer in 0..self.current.layers.len() {
+        for layer in 0..self.current.plan.num_layers() {
             Self::check_layer(
                 &self.current,
                 layer,
@@ -463,16 +431,16 @@ impl RadarProtection {
         report: &mut DetectionReport,
     ) {
         assert!(
-            layer < state.layers.len(),
+            layer < state.plan.num_layers(),
             "layer {layer} out of bounds for {} layers",
-            state.layers.len()
-        );
-        assert_eq!(
-            source.len(),
-            state.layers[layer].layout.len(),
-            "layer {layer} size changed since signing"
+            state.plan.num_layers()
         );
         let layer_plan = state.plan.layer(layer);
+        assert_eq!(
+            source.len(),
+            layer_plan.len(),
+            "layer {layer} size changed since signing"
+        );
         let groups = layer_plan.num_groups();
         if acc.len() < groups {
             acc.resize(groups, 0);
@@ -574,7 +542,7 @@ impl RadarProtection {
     ///
     /// Panics if the indices are out of bounds.
     pub fn group_of(&self, layer: usize, weight: usize) -> usize {
-        self.current.layers[layer].layout().group_of(weight)
+        self.current.plan.layer(layer).layout().group_of(weight)
     }
 
     /// Counts how many of the given `(layer, weight)` locations fall inside flagged
@@ -604,15 +572,16 @@ impl RadarProtection {
     ) -> RecoveryReport {
         self.recover_in(report, |layer, members| {
             let weights = model.layer_weights_mut(layer);
-            for &idx in members {
-                weights.set_value(idx as usize, 0);
+            for idx in members {
+                weights.set_value(idx, 0);
             }
         })
     }
 
     /// [`recover`](Self::recover) with the actual zeroing delegated to the caller:
     /// `zero_group(layer, members)` is invoked once per deduplicated flagged group and
-    /// must set every listed weight (original in-layer indices) to zero in whatever
+    /// must set every weight the [`Members`] iterator yields (original in-layer
+    /// indices) to zero in whatever
     /// store holds them — an in-core model, a DRAM image, or both.
     ///
     /// This is the seam the online serving path uses to recover the weight bytes *in
@@ -626,7 +595,7 @@ impl RadarProtection {
     /// signature would survive into publication).
     pub fn recover_in<F>(&mut self, report: &DetectionReport, mut zero_group: F) -> RecoveryReport
     where
-        F: FnMut(usize, &[u32]),
+        F: FnMut(usize, Members),
     {
         let mut recovery = RecoveryReport::default();
         let mut zeroed: std::collections::HashSet<FlaggedGroup> = std::collections::HashSet::new();
@@ -638,13 +607,14 @@ impl RadarProtection {
                 .current
                 .plan
                 .layer(flagged.layer)
-                .group_members(flagged.group);
+                .layout()
+                .members(flagged.group);
+            let weights = members.clone().count();
             zero_group(flagged.layer, members);
             // Re-sign the zeroed group: its masked sum is 0 whatever the key, so the
             // fresh signature is the binarization of zero at the configured width —
             // in every retained epoch store.
             let sig = binarize(0, self.config.signature_bits);
-            let weights = members.len();
             self.current
                 .golden
                 .set_signature(flagged.layer, flagged.group, sig);
@@ -909,8 +879,8 @@ mod tests {
         let recovery = radar.recover_in(&report, |layer, members| {
             assert_eq!(layer, 2);
             calls += 1;
-            for &idx in members {
-                store[idx as usize] = 0;
+            for idx in members {
+                store[idx] = 0;
             }
         });
         assert_eq!(calls, 1);
@@ -1011,8 +981,9 @@ mod tests {
         let reference_members = radar
             .plan()
             .layer(2)
-            .group_members(radar.group_of(2, 5))
-            .len();
+            .layout()
+            .members(radar.group_of(2, 5))
+            .count();
         let recovery = radar.recover(&mut m, &merged);
         assert_eq!(recovery.groups_zeroed, 1);
         assert_eq!(recovery.weights_zeroed, reference_members);
@@ -1059,9 +1030,9 @@ mod tests {
     fn epochs_actually_rekey_the_layers() {
         let m = model();
         let mut radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        let before: Vec<SecretKey> = radar.layers().iter().map(LayerProtection::key).collect();
+        let before: Vec<SecretKey> = radar.plan().layers().iter().map(LayerPlan::key).collect();
         full_roll(&mut radar, &m);
-        let after: Vec<SecretKey> = radar.layers().iter().map(LayerProtection::key).collect();
+        let after: Vec<SecretKey> = radar.plan().layers().iter().map(LayerPlan::key).collect();
         // 16-bit keys can collide per layer; across the whole stack the epochs
         // must differ (collision probability ~ n/2^16).
         assert_ne!(before, after);
@@ -1168,9 +1139,9 @@ mod tests {
         let m = model();
         let mut radar =
             RadarProtection::new(&m, RadarConfig::paper_default(32).with_masking(false));
-        let before: Vec<SecretKey> = radar.layers().iter().map(LayerProtection::key).collect();
+        let before: Vec<SecretKey> = radar.plan().layers().iter().map(LayerPlan::key).collect();
         full_roll(&mut radar, &m);
-        let after: Vec<SecretKey> = radar.layers().iter().map(LayerProtection::key).collect();
+        let after: Vec<SecretKey> = radar.plan().layers().iter().map(LayerPlan::key).collect();
         assert_eq!(before, after);
         assert!(after.iter().all(|k| *k == SecretKey::insecure_unmasked()));
         assert!(!radar.detect(&m).attack_detected());

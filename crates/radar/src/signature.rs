@@ -96,7 +96,7 @@ pub fn gather_signatures(
     );
     (0..layout.num_groups())
         .map(|g| {
-            let vals: Vec<i8> = layout.members(g).iter().map(|&i| weights[i]).collect();
+            let vals: Vec<i8> = layout.members(g).map(|i| weights[i]).collect();
             group_signature(&vals, key, bits)
         })
         .collect()

@@ -65,10 +65,10 @@ proptest! {
         let group = layout.group_of(idx);
 
         // Recovery: zero every member, re-sign that group.
-        for &member in &layout.members(group) {
+        for member in layout.members(group) {
             weights[member] = 0;
         }
-        let zeroed: Vec<i8> = layout.members(group).iter().map(|&i| weights[i]).collect();
+        let zeroed: Vec<i8> = layout.members(group).map(|i| weights[i]).collect();
         golden[group] = group_signature(&zeroed, &key, SignatureBits::Two);
 
         let fresh = layer_signatures(&weights, &layout, &key, SignatureBits::Two);

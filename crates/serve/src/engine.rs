@@ -24,8 +24,8 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///   queue;
 /// * `workers` **inference worker** threads, each owning one model replica in
 ///   `models`. The batch's ticket holder runs *one* fused fetch-and-verify pass —
-///   each layer's bytes are copied out of the shared [`WeightDram`] while the ±1
-///   mask scatter-adds into the signature accumulators (when `inpath_verify` is
+///   each layer's bytes are copied out of the shared [`WeightDram`] while their
+///   ±1-masked group sums accumulate in the same sweep (when `inpath_verify` is
 ///   on) — recovers flagged groups in the image and in the snapshot before anyone
 ///   reads it, and publishes the result as an epoch- and batch-stamped
 ///   `Arc<VerifiedSnapshot>`. Inference runs `forward_with_values` straight off the
@@ -204,9 +204,9 @@ pub fn serve(
                         build = buffers;
                         shard.force_add(metric::SNAPSHOT_RECLAIMS, worker_labels.clone(), 1);
                     }
-                    // One fused pass per batch: bytes copied out of DRAM while the
-                    // mask scatter-adds into the signature accumulators (a plain
-                    // copy when in-path verification is off).
+                    // One fused pass per batch: bytes copied out of DRAM while their
+                    // masked group sums accumulate (a plain copy when in-path
+                    // verification is off).
                     let timer = shard.span_start();
                     let mut checking = Duration::ZERO;
                     let flagged = {

@@ -52,8 +52,8 @@ pub fn recover_in_dram_traced(
         confirmed.merge(&radar.verify_layer_values_with_scratch(layer, &buf, &mut acc));
     }
     let recovery = radar.recover_in(&confirmed, |layer, members| {
-        for &member in members {
-            dram.write(dram.offset_of(layer, member as usize), 0);
+        for member in members {
+            dram.write(dram.offset_of(layer, member), 0);
         }
     });
     // `confirmed` is merged (sorted, deduplicated), so this reports each zeroed

@@ -27,7 +27,7 @@ use crate::recovery::recover_in_dram_traced;
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// *while* the ±1 mask scatter-adds into the signature accumulators, so where a
+/// *while* their ±1-masked group sums accumulate in the same sweep, so where a
 /// split fetch would pay a copy pass plus a verify pass, the build pays one. A
 /// rotation publish landing between the pin and this call simply moves the pinned
 /// epoch into the protection's `{current, previous}` acceptance window;

@@ -27,12 +27,11 @@ fn main() {
     for _ in 0..trials {
         let idx = rng.gen_range(0..layer.len());
         let group = layout.group_of(idx);
-        let members: Vec<usize> = layout.members(group);
-        let clean: Vec<i8> = members.iter().map(|&i| layer[i]).collect();
+        let clean: Vec<i8> = layout.members(group).map(|i| layer[i]).collect();
         let mut corrupted = clean.clone();
-        let slot = members
-            .iter()
-            .position(|&i| i == idx)
+        let slot = layout
+            .members(group)
+            .position(|i| i == idx)
             .expect("member of its own group");
         corrupted[slot] = (corrupted[slot] as u8 ^ 0x80) as i8;
 

@@ -23,7 +23,7 @@ proptest! {
         let layout = GroupLayout::new(len, group_size, grouping);
         let mut seen = vec![0u8; len];
         for g in 0..layout.num_groups() {
-            for &i in &layout.members(g) {
+            for i in layout.members(g) {
                 prop_assert!(i < len);
                 prop_assert_eq!(layout.group_of(i), g);
                 seen[i] += 1;
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let layout = GroupLayout::new(len, group_size, Grouping::Interleaved { offset });
         for g in 0..layout.num_groups() {
-            prop_assert!(layout.members(g).len() <= group_size);
+            prop_assert!(layout.members(g).count() <= group_size);
         }
     }
 
