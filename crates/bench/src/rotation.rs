@@ -371,7 +371,6 @@ impl RotationBenchOutcome {
             "ttd req".into(),
             "zeroed".into(),
             "acc %".into(),
-            "p99 ms".into(),
         ]);
         for s in &self.scenarios {
             let o = &s.outcome;
@@ -387,7 +386,6 @@ impl RotationBenchOutcome {
                 ttd_r,
                 o.recovery.groups_zeroed.to_string(),
                 format!("{:.2}", o.overall_percent()),
-                format!("{:.2}", o.latency.quantile_ns(0.99) / 1e6),
             ]);
         }
         report.line(format!(
@@ -449,8 +447,7 @@ impl RotationBenchOutcome {
                         "\"requests\": {}, \"batches\": {}, \"time_to_detect\": {}, ",
                         "\"recovery\": {{\"groups_zeroed\": {}, \"weights_zeroed\": {}}}, ",
                         "\"served_accuracy_percent\": {:.4}, ",
-                        "\"min_window_accuracy_percent\": {:.4}, ",
-                        "\"latency_ms\": {{\"p50\": {:.4}, \"p99\": {:.4}}}}}"
+                        "\"min_window_accuracy_percent\": {:.4}}}"
                     ),
                     s.name,
                     s.rotate_every,
@@ -463,8 +460,6 @@ impl RotationBenchOutcome {
                     o.recovery.weights_zeroed,
                     o.overall_percent(),
                     o.min_window_percent(),
-                    o.latency.quantile_ns(0.5) / 1e6,
-                    o.latency.quantile_ns(0.99) / 1e6,
                 )
             })
             .collect();

@@ -304,9 +304,6 @@ impl ServeBenchOutcome {
         ));
         report.row(&[
             "scenario".into(),
-            "p50 ms".into(),
-            "p99 ms".into(),
-            "rps".into(),
             "ttd batches".into(),
             "ttd req".into(),
             "zeroed".into(),
@@ -321,9 +318,6 @@ impl ServeBenchOutcome {
             });
             report.row(&[
                 s.name.into(),
-                format!("{:.2}", o.latency.quantile_ns(0.5) / 1e6),
-                format!("{:.2}", o.latency.quantile_ns(0.99) / 1e6),
-                format!("{:.1}", o.throughput_rps),
                 ttd_b,
                 ttd_r,
                 o.recovery.groups_zeroed.to_string(),
@@ -387,9 +381,7 @@ impl ServeBenchOutcome {
                     concat!(
                         "    {{\"name\": \"{}\", \"inpath_verify\": {}, \"scrub\": {}, ",
                         "\"protected\": {}, \"requests\": {}, \"batches\": {}, ",
-                        "\"wall_seconds\": {:.6}, \"throughput_rps\": {:.2}, ",
-                        "\"latency_ms\": {{\"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}, ",
-                        "\"mean\": {:.4}, \"max\": {:.4}}}, ",
+                        "\"wall_seconds\": {:.6}, ",
                         "\"verify_duty\": {:.6}, \"scrub_duty\": {:.6}, ",
                         "\"attack\": {}, \"time_to_detect\": {}, ",
                         "\"recovery\": {{\"groups_zeroed\": {}, \"weights_zeroed\": {}}}, ",
@@ -405,12 +397,6 @@ impl ServeBenchOutcome {
                     o.requests,
                     o.batches,
                     o.wall_seconds,
-                    o.throughput_rps,
-                    o.latency.quantile_ns(0.5) / 1e6,
-                    o.latency.quantile_ns(0.9) / 1e6,
-                    o.latency.quantile_ns(0.99) / 1e6,
-                    o.latency.mean_ns() / 1e6,
-                    o.latency.max_ns() as f64 / 1e6,
                     o.verify_duty,
                     o.scrub_duty,
                     attack_json(&o.attack),

@@ -1,18 +1,17 @@
-//! The hot-path instrumentation facade — every entry point a kernel or engine loop
-//! calls per sample / per panel / per batch.
+//! The hot-path instrumentation facade: the kernels' [`GlobalCounter`]s and the
+//! shard's span and event hooks, which kernels and engine loops call per panel or
+//! per batch.
 //!
 //! **Purity contract**: when the level gates a hook off, the hook is one branch on
 //! a bool (or one relaxed atomic load) and returns — no allocation, no clock read,
 //! no lock. The `obs-off-purity` rule in `crates/analyze/lints.toml` enforces this
 //! file stays free of allocation constructors and direct clock reads; anything
-//! heavier lives behind the branch, in [`crate::registry`] / [`crate::span`] /
-//! [`crate::clock`].
+//! heavier lives behind the branch, in [`crate::span`] / [`crate::clock`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::journal::{Event, EventKind, Track};
 use crate::level::global_level;
-use crate::registry::Labels;
 use crate::shard::ObsShard;
 use crate::span::{Span, SpanTimer};
 
@@ -68,45 +67,6 @@ impl Default for GlobalCounter {
 }
 
 impl ObsShard {
-    /// Adds `n` to the counter at `(name, labels)`. Off/gated: one branch.
-    #[inline]
-    pub fn add(&mut self, name: &'static str, labels: Labels, n: u64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.add_counter(name, labels, n);
-    }
-
-    /// Sets the gauge at `(name, labels)` to `value` at logical sequence `seq`.
-    /// Off/gated: one branch.
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.set_gauge(name, labels, seq, value);
-    }
-
-    /// Records `value` at logical sequence `seq` into the rolling window at
-    /// `(name, labels)`. Off/gated: one branch.
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.observe(name, labels, seq, value);
-    }
-
-    /// Records a nanosecond sample into the histogram at `(name, labels)`.
-    /// Off/gated: one branch.
-    #[inline]
-    pub fn record_ns(&mut self, name: &'static str, labels: Labels, ns: u64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.record_ns(name, labels, ns);
-    }
-
     /// Opens a span. Below [`ObsLevel::Full`](crate::ObsLevel::Full) this is one branch and returns a
     /// disabled timer; at `Full` it reads the session clock once.
     #[inline]
@@ -154,31 +114,24 @@ impl ObsShard {
 mod tests {
     use super::*;
     use crate::level::{set_global_level, ObsLevel};
+    use crate::shard::ObsCore;
     use crate::span::Tid;
 
     #[test]
     fn shard_hooks_respect_the_level_gate() {
-        let mut off = ObsShard::detached(ObsLevel::Off, Tid::Worker(0));
-        off.add("c", Labels::none(), 1);
-        off.record_ns("h", Labels::none(), 10);
-        off.observe("r", Labels::none(), 0, 1.0);
-        off.set_gauge("g", Labels::none(), 0, 1.0);
-        let timer = off.span_start();
-        off.span_end(timer, "s", 0);
-        assert!(off.registry().is_empty());
-        assert!(off.spans.is_empty());
-        // Events record at every level.
-        off.event(0, Track::Fetch, EventKind::Fetch { epoch: 0 });
-        assert_eq!(off.events.len(), 1);
+        for level in [ObsLevel::Off, ObsLevel::Counters] {
+            let core = ObsCore::new(level);
+            let mut shard = core.shard(Tid::Worker(0));
+            let timer = shard.span_start();
+            shard.span_end(timer, "s", 0);
+            assert!(shard.spans.is_empty(), "spans need Full");
+            // Events record at every level.
+            shard.event(0, Track::Fetch, EventKind::Fetch { epoch: 0 });
+            assert_eq!(shard.events.len(), 1);
+        }
 
-        let mut counters = ObsShard::detached(ObsLevel::Counters, Tid::Worker(0));
-        counters.add("c", Labels::none(), 1);
-        let timer = counters.span_start();
-        counters.span_end(timer, "s", 0);
-        assert_eq!(counters.registry().counter_sum("c"), 1);
-        assert!(counters.spans.is_empty(), "spans need Full");
-
-        let mut full = ObsShard::detached(ObsLevel::Full, Tid::Worker(0));
+        let core = ObsCore::new(ObsLevel::Full);
+        let mut full = core.shard(Tid::Worker(0));
         let timer = full.span_start();
         full.span_end(timer, "s", 3);
         assert_eq!(full.spans.len(), 1);

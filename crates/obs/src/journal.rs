@@ -19,8 +19,6 @@ use std::fmt::Write as _;
 /// the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Track {
-    /// The batcher / engine itself.
-    Batcher,
     /// The in-path weight fetch (whichever worker held the batch's ticket).
     Fetch,
     /// The background scrubber.
@@ -36,7 +34,6 @@ impl Track {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Track::Batcher => "batcher",
             Track::Fetch => "fetch",
             Track::Scrub => "scrub",
             Track::Rotate => "rotate",
@@ -112,12 +109,6 @@ pub enum EventKind {
         flips_missed: u64,
         /// Distinct rows hammered.
         rows_hammered: u64,
-    },
-    /// Load was shed (requests dropped before dispatch). The serve engine does not
-    /// shed today; the variant reserves the taxonomy slot for the fleet scheduler.
-    Shed {
-        /// Requests dropped.
-        requests: u64,
     },
     /// Scripted strikes whose batch offsets the run never reached.
     StrikeNeverFired {
@@ -210,9 +201,6 @@ impl Event {
                     r#","event":"strike","flips_landed":{flips_landed},"flips_missed":{flips_missed},"rows_hammered":{rows_hammered}"#
                 );
             }
-            EventKind::Shed { requests } => {
-                let _ = write!(line, r#","event":"shed","requests":{requests}"#);
-            }
             EventKind::StrikeNeverFired { remaining } => {
                 let _ = write!(
                     line,
@@ -221,16 +209,6 @@ impl Event {
             }
         }
         line.push('}');
-        line
-    }
-
-    /// The logical line plus the wall-clock annotation, for human-facing JSONL
-    /// dumps. Never compare these across runs.
-    #[must_use]
-    pub fn annotated_line(&self) -> String {
-        let mut line = self.logical_line();
-        line.pop(); // strip the closing brace
-        let _ = write!(line, r#","at_seconds":{:.6}}}"#, self.at_seconds);
         line
     }
 }
@@ -291,42 +269,6 @@ impl EventJournal {
         }
         out
     }
-
-    /// The whole journal as annotated JSONL (wall-clock offsets included).
-    #[must_use]
-    pub fn annotated_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.annotated_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Logical difference against another journal: the logical lines present in
-    /// exactly one of the two, each prefixed with `-` (only in `self`) or `+` (only
-    /// in `other`), in order. Empty means the journals are logically identical —
-    /// the replay-equality tests assert on exactly this.
-    #[must_use]
-    pub fn diff(&self, other: &EventJournal) -> Vec<String> {
-        let mine: Vec<String> = self.events.iter().map(Event::logical_line).collect();
-        let theirs: Vec<String> = other.events.iter().map(Event::logical_line).collect();
-        let mut out = Vec::new();
-        let common = mine.len().min(theirs.len());
-        for i in 0..common {
-            if mine[i] != theirs[i] {
-                out.push(format!("-{}", mine[i]));
-                out.push(format!("+{}", theirs[i]));
-            }
-        }
-        for line in &mine[common..] {
-            out.push(format!("-{line}"));
-        }
-        for line in &theirs[common..] {
-            out.push(format!("+{line}"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +310,6 @@ mod tests {
         let jab = EventJournal::from_events(ab, 1024);
         let jba = EventJournal::from_events(ba, 1024);
         assert_eq!(jab.logical_jsonl(), jba.logical_jsonl());
-        assert!(jab.diff(&jba).is_empty());
     }
 
     #[test]
@@ -397,30 +338,9 @@ mod tests {
             line,
             r#"{"batch":3,"track":"scrub","event":"detect","via_scrub":true,"groups_flagged":2}"#
         );
-        // A different wall-clock reading must not change the logical line…
+        // A different wall-clock reading must not change the logical line.
         e.at_seconds = 99.0;
         assert_eq!(e.logical_line(), line);
-        // …but shows up in the annotated one.
-        assert!(e.annotated_line().contains(r#""at_seconds":99.000000"#));
-    }
-
-    #[test]
-    fn diff_reports_divergent_and_extra_lines() {
-        let a = EventJournal::from_events(
-            vec![
-                event(0, Track::Fetch, EventKind::Fetch { epoch: 0 }),
-                event(1, Track::Fetch, EventKind::Fetch { epoch: 0 }),
-            ],
-            16,
-        );
-        let b = EventJournal::from_events(
-            vec![event(0, Track::Fetch, EventKind::Fetch { epoch: 1 })],
-            16,
-        );
-        let diff = a.diff(&b);
-        assert_eq!(diff.len(), 3); // one divergent pair + one line only in `a`
-        assert!(diff[0].starts_with('-'));
-        assert!(diff[1].starts_with('+'));
     }
 
     #[test]
@@ -448,13 +368,12 @@ mod tests {
                 flips_missed: 2,
                 rows_hammered: 3,
             },
-            EventKind::Shed { requests: 4 },
             EventKind::StrikeNeverFired { remaining: 1 },
         ];
         let mut names: Vec<String> = kinds
             .iter()
             .map(|&kind| {
-                let line = event(0, Track::Batcher, kind).logical_line();
+                let line = event(0, Track::Fetch, kind).logical_line();
                 let start = line.find(r#""event":""#).expect("event name") + 9;
                 let end = start + line[start..].find('"').expect("closing quote");
                 line[start..end].to_string()

@@ -8,12 +8,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// so gates can compare with `>=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ObsLevel {
-    /// Nothing beyond the always-on logical event journal. Every profiling hook
+    /// Nothing beyond the always-on event journal and contract metrics
+    /// ([`ObsShard::force_add`](crate::ObsShard::force_add) and
+    /// [`force_record_ns`](crate::ObsShard::force_record_ns)). Every profiling hook
     /// reduces to one branch on a bool — no allocation, no clock read (the
     /// `obs-off-purity` rule in `crates/analyze/lints.toml` enforces this for the
     /// hook layer).
     Off,
-    /// Counters, histograms and rolling stats record; spans stay off.
+    /// Kernel [`GlobalCounter`](crate::GlobalCounter)s record; spans stay off.
     #[default]
     Counters,
     /// Everything: counters plus wall-clock spans for trace export.
@@ -21,8 +23,7 @@ pub enum ObsLevel {
 }
 
 impl ObsLevel {
-    /// Whether counter-class metrics (counters, gauges, histograms, rolling stats)
-    /// record at this level.
+    /// Whether [`GlobalCounter`](crate::GlobalCounter)s record at this level.
     #[inline]
     #[must_use]
     pub fn counters_on(self) -> bool {
@@ -36,58 +37,14 @@ impl ObsLevel {
         self >= ObsLevel::Full
     }
 
-    /// Stable lowercase name (`off` / `counters` / `full`), used by exporters and
-    /// environment parsing.
+    /// Stable lowercase name (`off` / `counters` / `full`), used by the trace
+    /// exporter.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             ObsLevel::Off => "off",
             ObsLevel::Counters => "counters",
             ObsLevel::Full => "full",
-        }
-    }
-
-    /// Parses a level name as produced by [`name`](Self::name). Returns `None` for
-    /// anything else.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "off" => Some(ObsLevel::Off),
-            "counters" => Some(ObsLevel::Counters),
-            "full" => Some(ObsLevel::Full),
-            _ => None,
-        }
-    }
-}
-
-/// Configuration of one observability session (carried inside e.g.
-/// `radar_serve::ServeConfig`, which requires `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Recording level.
-    pub level: ObsLevel,
-    /// Upper bound on retained journal events; when a run emits more, the oldest
-    /// events are dropped at [`finish`](crate::ObsCore::finish) (ring-buffer
-    /// semantics) and the drop count is reported on the journal.
-    pub journal_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            level: ObsLevel::Counters,
-            journal_capacity: 65_536,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// A config at the given level with the default journal capacity.
-    #[must_use]
-    pub fn with_level(level: ObsLevel) -> Self {
-        ObsConfig {
-            level,
-            ..ObsConfig::default()
         }
     }
 }
@@ -134,20 +91,5 @@ mod tests {
         assert!(ObsLevel::Counters.counters_on());
         assert!(!ObsLevel::Counters.spans_on());
         assert!(ObsLevel::Full.spans_on());
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for level in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Full] {
-            assert_eq!(ObsLevel::parse(level.name()), Some(level));
-        }
-        assert_eq!(ObsLevel::parse("verbose"), None);
-    }
-
-    #[test]
-    fn default_config_records_counters() {
-        let cfg = ObsConfig::default();
-        assert_eq!(cfg.level, ObsLevel::Counters);
-        assert!(cfg.journal_capacity > 0);
     }
 }

@@ -4,25 +4,24 @@
 //! structs; this crate is the shared substrate they now record through. Three
 //! pillars, one invariant each:
 //!
-//! 1. **Metrics registry** ([`MetricsRegistry`]) — counters, gauges, rolling
-//!    windowed stats and the log-bucketed [`LatencyHistogram`], addressed by the
-//!    `(worker, layer, epoch, scenario)` label set ([`Labels`]). Threads record
-//!    into private [`ObsShard`]s (no locks on the hot path) and flush at existing
-//!    barrier points; **every merge is associative**, so flush order cannot change
-//!    the merged output.
+//! 1. **Metrics registry** ([`MetricsRegistry`]) — counters and the log-bucketed
+//!    [`LatencyHistogram`], addressed by the `(worker, scenario)` label set
+//!    ([`Labels`]). Threads record into private [`ObsShard`]s (no locks on the hot
+//!    path) and flush at existing barrier points; **every merge is associative**,
+//!    so flush order cannot change the merged output.
 //! 2. **Deterministic event journal** ([`EventJournal`]) — typed events keyed by
 //!    **logical time** (batch index + logical [`Track`], never wall clock, never
 //!    worker ids). Same-seed runs produce byte-identical journals
 //!    ([`EventJournal::logical_jsonl`]); wall-clock offsets ride along as a
 //!    non-compared annotation.
-//! 3. **Zero-cost-when-off profiling hooks** ([`ObsShard`] span/counter methods,
+//! 3. **Zero-cost-when-off profiling hooks** ([`ObsShard`] spans,
 //!    [`GlobalCounter`] for kernels) — gated by [`ObsLevel`] `Off | Counters |
 //!    Full`, where `Off` is one branch on a bool: no allocation, no `Instant::now`.
 //!    The `obs-off-purity` and `determinism` rules in `crates/analyze/lints.toml`
 //!    enforce both halves mechanically (the only `Instant::now` in the workspace
 //!    lives in [`clock`]).
 //!
-//! Exporters: [`EventJournal::annotated_jsonl`] for JSONL dumps and
+//! Exporters: [`EventJournal::logical_jsonl`] for JSONL dumps and
 //! [`chrome_trace`] for Chrome `trace_event` files (Perfetto-loadable), with
 //! [`validate_chrome_trace`] as the CI-side checker.
 
@@ -42,8 +41,8 @@ pub use histogram::LatencyHistogram;
 pub use hooks::GlobalCounter;
 pub use journal::{Event, EventJournal, EventKind, RotationKind, Track};
 pub use json::JsonValue;
-pub use level::{global_level, set_global_level, ObsConfig, ObsLevel};
-pub use registry::{GaugeValue, Labels, MetricKey, MetricsRegistry, RollingStats};
+pub use level::{global_level, set_global_level, ObsLevel};
+pub use registry::{Labels, MetricsRegistry};
 pub use shard::{ObsCore, ObsReport, ObsShard};
 pub use span::{Span, SpanTimer, Tid};
 pub use trace::{chrome_trace, validate_chrome_trace, TraceSummary};

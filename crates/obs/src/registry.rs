@@ -1,13 +1,11 @@
-//! The metrics registry: counters, gauges, rolling windowed stats and latency
-//! histograms, addressable by a small label set and mergeable across threads.
+//! The metrics registry: counters and latency histograms, addressable by a small
+//! label set and mergeable across threads.
 //!
 //! Hot paths write into a per-thread [`ObsShard`](crate::ObsShard) (no locks); the
 //! shard's registry is folded into the session-wide one at existing barrier points.
 //! Every merge is **associative and commutative** — shard flush order must not
-//! change the merged output, and the `registry_merge_is_associative` tests pin
-//! that down — which dictates the representations below: counters sum, gauges keep
-//! the (sequence, value) maximum, rolling stats keep the full sorted sample list
-//! and window only on read, histograms add bucket counts.
+//! change the merged output, and the `cross_thread_merge` tests pin that down:
+//! counters sum and histograms add bucket counts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -21,10 +19,6 @@ use crate::histogram::LatencyHistogram;
 pub struct Labels {
     /// Serving worker index.
     pub worker: Option<u32>,
-    /// Model layer index.
-    pub layer: Option<u32>,
-    /// Key epoch index.
-    pub epoch: Option<u32>,
     /// Benchmark scenario / campaign cell name.
     pub scenario: Option<Cow<'static, str>>,
 }
@@ -43,20 +37,6 @@ impl Labels {
         self
     }
 
-    /// Sets the layer label.
-    #[must_use]
-    pub fn layer(mut self, layer: u32) -> Self {
-        self.layer = Some(layer);
-        self
-    }
-
-    /// Sets the epoch label.
-    #[must_use]
-    pub fn epoch(mut self, epoch: u32) -> Self {
-        self.epoch = Some(epoch);
-        self
-    }
-
     /// Sets the scenario label.
     #[must_use]
     pub fn scenario(mut self, scenario: impl Into<Cow<'static, str>>) -> Self {
@@ -72,12 +52,6 @@ impl Labels {
         if let Some(w) = self.worker {
             parts.push(format!("worker={w}"));
         }
-        if let Some(l) = self.layer {
-            parts.push(format!("layer={l}"));
-        }
-        if let Some(e) = self.epoch {
-            parts.push(format!("epoch={e}"));
-        }
         if let Some(s) = &self.scenario {
             parts.push(format!("scenario={s}"));
         }
@@ -89,145 +63,12 @@ impl Labels {
     }
 }
 
-/// A metric's identity: its name plus its label set.
+/// A metric's identity: its name (dotted lowercase, e.g. `serve.verify_ns`) plus
+/// its label set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricKey {
-    /// Metric name (dotted lowercase, e.g. `serve.verify_ns`).
-    pub name: &'static str,
-    /// Label set.
-    pub labels: Labels,
-}
-
-/// A gauge reading: the value observed at the largest logical sequence number.
-///
-/// Ties on the sequence number resolve to the larger value bit pattern, so merging
-/// two shards that both set the gauge at the same logical time is still
-/// order-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeValue {
-    /// Logical sequence number of the reading (batch index, cell index, …).
-    pub seq: u64,
-    /// The reading, as `f64` bits (bit-exact merge semantics).
-    bits: u64,
-}
-
-impl GaugeValue {
-    /// The reading as an `f64`.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits)
-    }
-}
-
-/// Rolling windowed statistics: mean/min/max over the last `window` samples (by
-/// logical sequence number). The full `(seq, value)` sample list is retained so
-/// that shard merges stay associative; the window applies on read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollingStats {
-    window: usize,
-    /// Sorted by `(seq, bits)` ascending.
-    samples: Vec<(u64, u64)>,
-}
-
-impl RollingStats {
-    /// An empty rolling window over the last `window` samples (`window == 0` means
-    /// "all samples").
-    #[must_use]
-    pub fn new(window: usize) -> Self {
-        RollingStats {
-            window,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records `value` at logical sequence number `seq`.
-    pub fn observe(&mut self, seq: u64, value: f64) {
-        let entry = (seq, value.to_bits());
-        let at = self.samples.partition_point(|s| *s <= entry);
-        self.samples.insert(at, entry);
-    }
-
-    /// Folds another stats object in (associative: the sample multisets union).
-    pub fn merge(&mut self, other: &RollingStats) {
-        self.window = self.window.max(other.window);
-        let mut merged = Vec::with_capacity(self.samples.len() + other.samples.len());
-        let (mut a, mut b) = (
-            self.samples.iter().peekable(),
-            other.samples.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x <= y {
-                        merged.push(x);
-                        a.next();
-                    } else {
-                        merged.push(y);
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    merged.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.samples = merged;
-    }
-
-    /// Total samples ever observed.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The samples inside the current window (the last `window` by sequence number).
-    fn windowed(&self) -> &[(u64, u64)] {
-        if self.window == 0 || self.samples.len() <= self.window {
-            &self.samples
-        } else {
-            &self.samples[self.samples.len() - self.window..]
-        }
-    }
-
-    /// Mean over the window (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let w = self.windowed();
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter().map(|&(_, bits)| f64::from_bits(bits)).sum::<f64>() / w.len() as f64
-    }
-
-    /// Minimum over the window (0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        let w = self.windowed();
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter()
-            .map(|&(_, bits)| f64::from_bits(bits))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum over the window (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        let w = self.windowed();
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter()
-            .map(|&(_, bits)| f64::from_bits(bits))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
+struct MetricKey {
+    name: &'static str,
+    labels: Labels,
 }
 
 /// The metrics registry: one instance per thread shard, one merged instance per
@@ -236,8 +77,6 @@ impl RollingStats {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, GaugeValue>,
-    rolling: BTreeMap<MetricKey, RollingStats>,
     histograms: BTreeMap<MetricKey, LatencyHistogram>,
 }
 
@@ -251,41 +90,12 @@ impl MetricsRegistry {
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.rolling.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Adds `n` to the counter at `(name, labels)`.
     pub fn add_counter(&mut self, name: &'static str, labels: Labels, n: u64) {
         *self.counters.entry(MetricKey { name, labels }).or_insert(0) += n;
-    }
-
-    /// Sets the gauge at `(name, labels)` to `value`, keyed by logical sequence
-    /// number `seq`; the merged gauge keeps the reading with the largest `seq`.
-    pub fn set_gauge(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        let candidate = GaugeValue {
-            seq,
-            bits: value.to_bits(),
-        };
-        self.gauges
-            .entry(MetricKey { name, labels })
-            .and_modify(|g| {
-                if (candidate.seq, candidate.bits) > (g.seq, g.bits) {
-                    *g = candidate;
-                }
-            })
-            .or_insert(candidate);
-    }
-
-    /// Records `value` at sequence `seq` into the rolling window at `(name, labels)`
-    /// (windows default to the last 64 samples on first touch).
-    pub fn observe(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        self.rolling
-            .entry(MetricKey { name, labels })
-            .or_insert_with(|| RollingStats::new(64))
-            .observe(seq, value);
     }
 
     /// Records a nanosecond sample into the histogram at `(name, labels)`.
@@ -302,37 +112,12 @@ impl MetricsRegistry {
         for (key, n) in &other.counters {
             *self.counters.entry(key.clone()).or_insert(0) += n;
         }
-        for (key, gauge) in &other.gauges {
-            self.gauges
-                .entry(key.clone())
-                .and_modify(|g| {
-                    if (gauge.seq, gauge.bits) > (g.seq, g.bits) {
-                        *g = *gauge;
-                    }
-                })
-                .or_insert(*gauge);
-        }
-        for (key, stats) in &other.rolling {
-            self.rolling
-                .entry(key.clone())
-                .and_modify(|mine| mine.merge(stats))
-                .or_insert_with(|| stats.clone());
-        }
         for (key, hist) in &other.histograms {
             self.histograms
                 .entry(key.clone())
                 .and_modify(|mine| mine.merge(hist))
                 .or_insert_with(|| hist.clone());
         }
-    }
-
-    /// The counter at exactly `(name, labels)` (0 when never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k.name == name && k.labels == *labels)
-            .map_or(0, |(_, &n)| n)
     }
 
     /// Sum of the counter `name` across every label set.
@@ -357,34 +142,6 @@ impl MetricsRegistry {
         merged
     }
 
-    /// The rolling stats at exactly `(name, labels)`, if any were recorded.
-    #[must_use]
-    pub fn rolling(&self, name: &str, labels: &Labels) -> Option<&RollingStats> {
-        self.rolling
-            .iter()
-            .find(|(k, _)| k.name == name && k.labels == *labels)
-            .map(|(_, stats)| stats)
-    }
-
-    /// The gauge at exactly `(name, labels)`, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str, labels: &Labels) -> Option<GaugeValue> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k.name == name && k.labels == *labels)
-            .map(|(_, &g)| g)
-    }
-
-    /// Iterates the counters in deterministic (key) order.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, &n)| (k, n))
-    }
-
-    /// Iterates the histograms in deterministic (key) order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &LatencyHistogram)> {
-        self.histograms.iter()
-    }
-
     /// Renders every metric as one deterministic text line (`name{labels} value`),
     /// for reports and debugging.
     #[must_use]
@@ -392,26 +149,6 @@ impl MetricsRegistry {
         let mut lines = Vec::new();
         for (key, n) in &self.counters {
             lines.push(format!("{}{} {n}", key.name, key.labels.render()));
-        }
-        for (key, g) in &self.gauges {
-            lines.push(format!(
-                "{}{} {} (seq {})",
-                key.name,
-                key.labels.render(),
-                g.value(),
-                g.seq
-            ));
-        }
-        for (key, stats) in &self.rolling {
-            lines.push(format!(
-                "{}{} mean {:.3} min {:.3} max {:.3} (n {})",
-                key.name,
-                key.labels.render(),
-                stats.mean(),
-                stats.min(),
-                stats.max(),
-                stats.count()
-            ));
         }
         for (key, hist) in &self.histograms {
             let mut line = String::new();
@@ -448,44 +185,14 @@ mod tests {
         r.add_counter("x.calls", Labels::none().worker(0), 3);
         r.add_counter("x.calls", Labels::none().worker(1), 4);
         r.add_counter("y.calls", Labels::none(), 10);
-        assert_eq!(r.counter("x.calls", &Labels::none().worker(0)), 3);
         assert_eq!(r.counter_sum("x.calls"), 7);
         assert_eq!(r.counter_sum("missing"), 0);
     }
 
     #[test]
-    fn gauges_keep_the_latest_logical_reading_regardless_of_merge_order() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.set_gauge("depth", Labels::none(), 5, 2.0);
-        b.set_gauge("depth", Labels::none(), 9, 7.0);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.gauge("depth", &Labels::none()).unwrap().value(), 7.0);
-    }
-
-    #[test]
-    fn rolling_stats_window_applies_on_read() {
-        let mut s = RollingStats::new(3);
-        for (seq, v) in [(1u64, 10.0f64), (2, 20.0), (3, 30.0), (4, 40.0)] {
-            s.observe(seq, v);
-        }
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.mean(), 30.0); // last 3: 20, 30, 40
-        assert_eq!(s.min(), 20.0);
-        assert_eq!(s.max(), 40.0);
-        assert_eq!(RollingStats::new(3).mean(), 0.0);
-        assert_eq!(RollingStats::new(3).min(), 0.0);
-        assert_eq!(RollingStats::new(3).max(), 0.0);
-    }
-
-    #[test]
     fn labels_render_deterministically() {
-        let labels = Labels::none().worker(1).epoch(2).scenario("attack");
-        assert_eq!(labels.render(), "{worker=1,epoch=2,scenario=attack}");
+        let labels = Labels::none().worker(1).scenario("attack");
+        assert_eq!(labels.render(), "{worker=1,scenario=attack}");
         assert_eq!(Labels::none().render(), "");
     }
 
@@ -503,10 +210,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.add_counter("b.counter", Labels::none(), 1);
         r.add_counter("a.counter", Labels::none(), 2);
-        r.observe("roll", Labels::none(), 1, 5.0);
         r.record_ns("lat", Labels::none(), 1_000);
         let lines = r.render_lines();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("a.counter"));
         assert!(lines[1].starts_with("b.counter"));
     }

@@ -10,9 +10,14 @@ use std::sync::Mutex;
 
 use crate::clock::Stopwatch;
 use crate::journal::{Event, EventJournal};
-use crate::level::{ObsConfig, ObsLevel};
+use crate::level::ObsLevel;
 use crate::registry::{Labels, MetricsRegistry};
 use crate::span::{Span, Tid};
+
+/// Upper bound on retained journal events; when a run emits more, the oldest are
+/// dropped at [`ObsCore::finish`] (ring-buffer semantics) and the drop count is
+/// reported on the journal.
+const JOURNAL_CAPACITY: usize = 65_536;
 
 /// A per-thread observability shard: a private registry slice, journal events and
 /// spans, plus the session anchors (level, start time, thread identity).
@@ -27,45 +32,12 @@ pub struct ObsShard {
 }
 
 impl ObsShard {
-    /// A detached shard (not bound to an [`ObsCore`]): useful for tests and for
-    /// single-threaded recorders that will be merged by hand.
-    #[must_use]
-    pub fn detached(level: ObsLevel, tid: Tid) -> Self {
-        ObsShard {
-            level,
-            tid,
-            start: Stopwatch::start(),
-            registry: MetricsRegistry::new(),
-            events: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// The shard's recording level.
-    #[must_use]
-    pub fn level(&self) -> ObsLevel {
-        self.level
-    }
-
-    /// The thread identity spans recorded through this shard carry.
-    #[must_use]
-    pub fn tid(&self) -> Tid {
-        self.tid
-    }
-
-    /// Read access to the shard's private registry (tests, hand-merging).
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Adds `n` to the counter at `(name, labels)` **regardless of level**.
     ///
     /// For telemetry-class metrics that are part of a subsystem's contractual
-    /// output (the serve duty cycles, the latency histogram feeding
-    /// `BENCH_serve.json`) — these must survive `ObsLevel::Off`, which only
-    /// disables *profiling* instrumentation. Use the gated
-    /// [`add`](Self::add) for everything else.
+    /// output (the serve duty cycles and latency histogram behind
+    /// `radar_serve::ServeOutcome`) — these must survive `ObsLevel::Off`, which
+    /// only disables *profiling* instrumentation.
     pub fn force_add(&mut self, name: &'static str, labels: Labels, n: u64) {
         self.registry.add_counter(name, labels, n);
     }
@@ -78,7 +50,7 @@ impl ObsShard {
 
     /// Drains the shard's accumulated state, returning `(registry, events, spans)`
     /// and leaving the shard empty and reusable.
-    pub fn drain(&mut self) -> (MetricsRegistry, Vec<Event>, Vec<Span>) {
+    fn drain(&mut self) -> (MetricsRegistry, Vec<Event>, Vec<Span>) {
         (
             std::mem::take(&mut self.registry),
             std::mem::take(&mut self.events),
@@ -99,11 +71,10 @@ struct CoreInner {
 /// back into it; [`finish`](ObsCore::finish) folds everything into an
 /// [`ObsReport`].
 ///
-/// The mutex is only touched at shard flush points and by the rare always-on
-/// journal emitters — never per-sample.
+/// The mutex is only touched at shard flush points — never per-sample.
 #[derive(Debug)]
 pub struct ObsCore {
-    config: ObsConfig,
+    level: ObsLevel,
     start: Stopwatch,
     inner: Mutex<CoreInner>,
 }
@@ -111,37 +82,19 @@ pub struct ObsCore {
 impl ObsCore {
     /// Creates a core; the session clock starts now.
     #[must_use]
-    pub fn new(config: ObsConfig) -> Self {
+    pub fn new(level: ObsLevel) -> Self {
         ObsCore {
-            config,
+            level,
             start: Stopwatch::start(),
             inner: Mutex::new(CoreInner::default()),
         }
-    }
-
-    /// The session's configuration.
-    #[must_use]
-    pub fn config(&self) -> ObsConfig {
-        self.config
-    }
-
-    /// The session's start anchor (shards created by hand can share it).
-    #[must_use]
-    pub fn start(&self) -> Stopwatch {
-        self.start
-    }
-
-    /// Seconds since the session started.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed_secs()
     }
 
     /// Creates a shard for `tid`, sharing the session's level and start anchor.
     #[must_use]
     pub fn shard(&self, tid: Tid) -> ObsShard {
         ObsShard {
-            level: self.config.level,
+            level: self.level,
             tid,
             start: self.start,
             registry: MetricsRegistry::new(),
@@ -176,10 +129,10 @@ impl ObsCore {
         let mut spans = inner.spans;
         spans.sort_by_key(|s| (s.tid, s.start_ns));
         ObsReport {
-            level: self.config.level,
+            level: self.level,
             wall_seconds,
             registry: inner.registry,
-            journal: EventJournal::from_events(inner.events, self.config.journal_capacity),
+            journal: EventJournal::from_events(inner.events, JOURNAL_CAPACITY),
             spans,
         }
     }
@@ -201,20 +154,6 @@ pub struct ObsReport {
     pub spans: Vec<Span>,
 }
 
-impl ObsReport {
-    /// An empty report at the given level (for tests and default plumbing).
-    #[must_use]
-    pub fn empty(level: ObsLevel) -> Self {
-        ObsReport {
-            level,
-            wall_seconds: 0.0,
-            registry: MetricsRegistry::new(),
-            journal: EventJournal::default(),
-            spans: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,12 +162,12 @@ mod tests {
 
     #[test]
     fn shards_flush_into_the_core_and_reset() {
-        let core = ObsCore::new(ObsConfig::default());
+        let core = ObsCore::new(ObsLevel::Counters);
         let mut shard = core.shard(Tid::Worker(0));
-        shard.add("x.calls", Labels::none(), 2);
+        shard.force_add("x.calls", Labels::none(), 2);
         shard.event(1, Track::Fetch, EventKind::Fetch { epoch: 0 });
         core.flush(&mut shard);
-        assert!(shard.registry().is_empty());
+        assert!(shard.registry.is_empty());
         // A second flush of the now-empty shard is a no-op.
         core.flush(&mut shard);
         let report = core.finish();
@@ -240,12 +179,12 @@ mod tests {
     #[test]
     fn merged_output_is_independent_of_flush_order() {
         let build = |flip: bool| {
-            let core = ObsCore::new(ObsConfig::default());
+            let core = ObsCore::new(ObsLevel::Counters);
             let mut a = core.shard(Tid::Worker(0));
             let mut b = core.shard(Tid::Worker(1));
-            a.add("calls", Labels::none().worker(0), 1);
+            a.force_add("calls", Labels::none().worker(0), 1);
             a.event(0, Track::Fetch, EventKind::Fetch { epoch: 0 });
-            b.add("calls", Labels::none().worker(1), 2);
+            b.force_add("calls", Labels::none().worker(1), 2);
             b.event(1, Track::Fetch, EventKind::Fetch { epoch: 0 });
             if flip {
                 core.flush(&mut b);

@@ -10,8 +10,6 @@
 /// show the real interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tid {
-    /// The batcher thread.
-    Batcher,
     /// Inference worker `n`.
     Worker(u16),
     /// The scrub sweep (the serve batcher runs it inline at fetch barriers).
@@ -27,7 +25,6 @@ impl Tid {
     #[must_use]
     pub fn name(self) -> String {
         match self {
-            Tid::Batcher => "batcher".to_string(),
             Tid::Worker(n) => format!("worker-{n}"),
             Tid::Scrubber => "scrubber".to_string(),
             Tid::Rotation => "rotation".to_string(),
@@ -39,7 +36,6 @@ impl Tid {
     #[must_use]
     pub fn ordinal(self) -> u32 {
         match self {
-            Tid::Batcher => 0,
             Tid::Worker(n) => 100 + u32::from(n),
             Tid::Scrubber => 1,
             Tid::Rotation => 2,
@@ -72,13 +68,6 @@ pub struct Span {
 #[must_use = "close the span with span_end, or nothing is recorded"]
 pub struct SpanTimer(pub(crate) Option<u64>);
 
-impl SpanTimer {
-    /// A timer that records nothing when closed.
-    pub fn disabled() -> Self {
-        SpanTimer(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +75,6 @@ mod tests {
     #[test]
     fn tid_names_and_ordinals_are_distinct() {
         let tids = [
-            Tid::Batcher,
             Tid::Worker(0),
             Tid::Worker(1),
             Tid::Scrubber,

@@ -78,13 +78,7 @@ pub fn chrome_trace(report: &ObsReport, process_name: &str) -> String {
             event.batch
         ));
     }
-    for track in [
-        Track::Batcher,
-        Track::Fetch,
-        Track::Scrub,
-        Track::Rotate,
-        Track::Strike,
-    ] {
+    for track in [Track::Fetch, Track::Scrub, Track::Rotate, Track::Strike] {
         let has_instant = report.journal.events().iter().any(|e| {
             e.track == track
                 && matches!(
@@ -208,11 +202,11 @@ mod tests {
     use super::*;
     use crate::journal::{Event, EventJournal};
     use crate::level::ObsLevel;
+    use crate::registry::MetricsRegistry;
     use crate::span::Span;
 
     fn report_with_spans() -> ObsReport {
-        let mut report = ObsReport::empty(ObsLevel::Full);
-        report.spans = vec![
+        let spans = vec![
             Span {
                 name: "fetch_verify",
                 tid: Tid::Worker(0),
@@ -235,7 +229,7 @@ mod tests {
                 batch: 4,
             },
         ];
-        report.journal = EventJournal::from_events(
+        let journal = EventJournal::from_events(
             vec![Event {
                 batch: 2,
                 track: Track::Strike,
@@ -248,7 +242,13 @@ mod tests {
             }],
             16,
         );
-        report
+        ObsReport {
+            level: ObsLevel::Full,
+            wall_seconds: 0.0,
+            registry: MetricsRegistry::new(),
+            journal,
+            spans,
+        }
     }
 
     #[test]

@@ -2,33 +2,26 @@
 //! associatively and commutatively, so neither the thread schedule nor the flush
 //! order can change the session's merged metrics.
 
-use radar_obs::{Labels, MetricsRegistry, ObsConfig, ObsCore, ObsLevel, ObsShard, Tid};
+use radar_obs::{Labels, MetricsRegistry, ObsCore, ObsLevel, ObsShard, Tid};
 
-/// Builds one worker's registry slice on its own thread: a counter, a histogram,
-/// a rolling window and a gauge, all keyed so the slices overlap across workers.
+/// One worker's recording: a counter and a histogram, keyed so the slices overlap
+/// across workers.
+fn record(shard: &mut ObsShard, worker: u32) {
+    for i in 0..50u64 {
+        shard.force_add("merge.calls", Labels::none(), 1);
+        shard.force_add("merge.calls", Labels::none().worker(worker), 1);
+        shard.force_record_ns("merge.latency_ns", Labels::none(), 1_000 * (i + 1));
+    }
+}
+
+/// Builds one worker's registry slice on its own thread, through its own session.
 fn recorded_on_thread(worker: u32) -> MetricsRegistry {
     std::thread::spawn(move || {
-        let mut shard = ObsShard::detached(ObsLevel::Counters, Tid::Worker(worker as u16));
-        for i in 0..50u64 {
-            shard.add("merge.calls", Labels::none(), 1);
-            shard.add("merge.calls", Labels::none().worker(worker), 1);
-            shard.record_ns("merge.latency_ns", Labels::none(), 1_000 * (i + 1));
-            shard.observe(
-                "merge.depth",
-                Labels::none(),
-                u64::from(worker) * 100 + i,
-                i as f64,
-            );
-        }
-        // Gauges keep the largest logical sequence; give each worker a distinct one.
-        shard.set_gauge(
-            "merge.queue",
-            Labels::none(),
-            u64::from(worker),
-            f64::from(worker),
-        );
-        let (registry, _, _) = shard.drain();
-        registry
+        let core = ObsCore::new(ObsLevel::Counters);
+        let mut shard = core.shard(Tid::Worker(worker as u16));
+        record(&mut shard, worker);
+        core.flush(&mut shard);
+        core.finish().registry
     })
     .join()
     .expect("recorder thread panicked")
@@ -84,29 +77,13 @@ fn racing_core_flushes_equal_the_hand_merged_registry() {
         &recorded_on_thread(2),
     ]);
 
-    let core = ObsCore::new(ObsConfig::with_level(ObsLevel::Counters));
+    let core = ObsCore::new(ObsLevel::Counters);
     std::thread::scope(|scope| {
         for worker in 0..3u32 {
             let core = &core;
             scope.spawn(move || {
                 let mut shard = core.shard(Tid::Worker(worker as u16));
-                for i in 0..50u64 {
-                    shard.add("merge.calls", Labels::none(), 1);
-                    shard.add("merge.calls", Labels::none().worker(worker), 1);
-                    shard.record_ns("merge.latency_ns", Labels::none(), 1_000 * (i + 1));
-                    shard.observe(
-                        "merge.depth",
-                        Labels::none(),
-                        u64::from(worker) * 100 + i,
-                        i as f64,
-                    );
-                }
-                shard.set_gauge(
-                    "merge.queue",
-                    Labels::none(),
-                    u64::from(worker),
-                    f64::from(worker),
-                );
+                record(&mut shard, worker);
                 core.flush(&mut shard);
             });
         }

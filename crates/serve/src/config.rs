@@ -1,6 +1,6 @@
 use std::time::Duration;
 
-use radar_obs::{ObsConfig, ObsLevel};
+use radar_obs::ObsLevel;
 
 /// Configuration of one serving run.
 ///
@@ -44,11 +44,11 @@ pub struct ServeConfig {
     pub rotate_every: usize,
     /// Served-accuracy window size, in requests.
     pub window: usize,
-    /// Observability configuration: recording level (`Off | Counters | Full`) and
-    /// journal capacity. The journal and the `BENCH_serve.json`-contract metrics
-    /// record at every level; `Full` additionally records profiling spans for the
-    /// Chrome trace exporter.
-    pub obs: ObsConfig,
+    /// Observability recording level (`Off | Counters | Full`). The journal and the
+    /// metrics [`ServeOutcome`](crate::ServeOutcome) derives from record at every
+    /// level; `Full` additionally records profiling spans for the Chrome trace
+    /// exporter.
+    pub obs: ObsLevel,
 }
 
 impl Default for ServeConfig {
@@ -64,7 +64,7 @@ impl Default for ServeConfig {
             scrub_layers: 4,
             rotate_every: 0,
             window: 64,
-            obs: ObsConfig::default(),
+            obs: ObsLevel::default(),
         }
     }
 }
@@ -103,9 +103,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the observability recording level (see [`ObsConfig`]).
+    /// Sets the observability recording level (see [`obs`](Self::obs)).
     pub fn with_obs(mut self, level: ObsLevel) -> Self {
-        self.obs = ObsConfig { level, ..self.obs };
+        self.obs = level;
         self
     }
 
@@ -129,8 +129,8 @@ mod tests {
         cfg.validate();
         assert!(cfg.inpath_verify);
         assert!(cfg.scrub_every > 0);
-        assert_eq!(cfg.obs.level, ObsLevel::Counters);
-        assert_eq!(cfg.with_obs(ObsLevel::Full).obs.level, ObsLevel::Full);
+        assert_eq!(cfg.obs, ObsLevel::Counters);
+        assert_eq!(cfg.with_obs(ObsLevel::Full).obs, ObsLevel::Full);
     }
 
     #[test]

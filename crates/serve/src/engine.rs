@@ -2,18 +2,20 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
-use radar_core::{KeyEpoch, RadarProtection};
+use radar_core::{KeyEpoch, RadarProtection, RecoveryReport};
 use radar_data::Dataset;
 use radar_memsim::{AttackTimeline, WeightDram};
 use radar_nn::argmax_rows;
-use radar_obs::{set_global_level, EventKind, Labels, RotationKind, Stopwatch, Tid, Track};
+use radar_obs::{
+    set_global_level, EventKind, Labels, ObsCore, RotationKind, Stopwatch, Tid, Track,
+};
 use radar_quant::QuantizedModel;
 
 use crate::config::ServeConfig;
 use crate::recovery::recover_in_dram;
 use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
 use crate::sync::{lock, read_lock, write_lock, FetchTicket, SnapshotSlot, VerifiedSnapshot};
-use crate::telemetry::{metric, RequestRecord, RotationEvent, ServeOutcome, Telemetry};
+use crate::telemetry::{finish, metric, RequestRecord, ServeOutcome};
 use crate::traffic::{Batch, Request, TrafficSchedule};
 
 /// Runs one complete serving session and returns its telemetry.
@@ -65,13 +67,18 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///
 /// # Observability
 ///
-/// Each worker records through its own [`radar_obs::ObsShard`], flushed once per
-/// batch after the ticket publish; the batcher keeps one shard per barrier role
-/// (adversary, scrubber, rotation), so the trace shows one row per role. Journal
-/// events for each `(batch, track)` key have exactly one emitter — the
-/// ticket-holding worker for the fetch track, the batcher's strike, scrub or
-/// re-keying step for theirs — which is what makes the journal's canonical order (a
-/// stable sort by `(batch, track)`) independent of flush interleaving. At
+/// Every journal event and metric is recorded once, on the shard of the thread
+/// that emits it. Each worker records through its own [`radar_obs::ObsShard`],
+/// flushed once per batch after the ticket publish: its fetch-track events, its
+/// duty-cycle and snapshot counters, and each request's latency under its own
+/// `worker` label. The batcher keeps one shard per barrier role (adversary,
+/// scrubber, rotation), which records that role's events and counters, so the
+/// trace shows one row per role. Journal events for each `(batch, track)` key have
+/// exactly one emitter — the ticket-holding worker for the fetch track, the
+/// batcher's strike, scrub or re-keying step for theirs — which is what makes the
+/// journal's canonical order (a stable sort by `(batch, track)`) independent of
+/// flush interleaving. Each worker keeps its own request records and hands them
+/// over when it exits, so the per-request path takes no lock. At
 /// [`radar_obs::ObsLevel::Full`] the hot sections additionally record spans (ticket
 /// wait, verified fetch, inference, scrub sweeps, rotation ticks, strike mounts) for
 /// the Chrome trace exporter.
@@ -87,7 +94,9 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 /// empty, the configuration is invalid, or in-path verification / scrubbing is
 /// requested without a `protection`. A panic in a barrier step (for example a scrub
 /// that finds a layer whose size changed since signing) stops dispatch at once and
-/// propagates out of `serve` with its own message: no further batch is served.
+/// propagates out of `serve` with its own message: no further batch is served. Once
+/// dispatch ends, joining the workers resumes any worker's panic with its own
+/// payload.
 pub fn serve(
     models: Vec<QuantizedModel>,
     protection: Option<RadarProtection>,
@@ -119,7 +128,7 @@ pub fn serve(
 
     // Arm the process-global gate so `GlobalCounter` kernels instrumented deeper in
     // the stack (gemm panels, verify sweeps) follow this run's level.
-    set_global_level(config.obs.level);
+    set_global_level(config.obs);
 
     let samples = schedule.sample_indices(eval.len());
     let event_offsets = timeline.batch_offsets();
@@ -130,7 +139,7 @@ pub fn serve(
     };
     let dram = RwLock::new(dram);
     let protection = protection.map(RwLock::new);
-    let telemetry = Telemetry::with_config(config.obs);
+    let obs = ObsCore::new(config.obs);
     // Batches whose weight fetch (and any in-path recovery) has completed; doubles as
     // the fetch ticket: the worker holding batch `fetched` is the one allowed to fetch.
     let fetched = FetchTicket::new();
@@ -144,7 +153,7 @@ pub fn serve(
     let batch_rx = Mutex::new(batch_rx);
 
     let mut batches = 0usize;
-    std::thread::scope(|scope| {
+    let records = std::thread::scope(|scope| {
         // Traffic driver: submits the scheduled requests as fast as the bounded queue
         // accepts them (open-loop at the queue, closed-loop at the service rate).
         scope.spawn(move || {
@@ -167,18 +176,21 @@ pub fn serve(
         // requantization epilogue; GEMM-level threading stays at the
         // RADAR_GEMM_THREADS default so worker parallelism composes predictably).
         // The replica contributes only its structure, scales and float-only layers;
-        // its stored weights are never read or written.
+        // its stored weights are never read or written. Each worker hands back its
+        // own request records when it exits.
+        let mut workers = Vec::with_capacity(config.workers);
         for (w, mut model) in models.into_iter().enumerate() {
             let dram = &dram;
             let protection = protection.as_ref();
             let verifier = protection.filter(|_| config.inpath_verify);
-            let telemetry = &telemetry;
+            let obs = &obs;
             let fetched = &fetched;
             let batch_rx = &batch_rx;
             let snapshots = &snapshots;
-            scope.spawn(move || {
-                let mut shard = telemetry.shard(Tid::Worker(w as u16));
+            workers.push(scope.spawn(move || {
+                let mut shard = obs.shard(Tid::Worker(w as u16));
                 let worker_labels = Labels::none().worker(w as u32);
+                let mut records: Vec<RequestRecord> = Vec::new();
                 let mut acc: Vec<i32> = Vec::new();
                 loop {
                     let received = lock(batch_rx).recv();
@@ -262,14 +274,7 @@ pub fn serve(
                             let mut dram = write_lock(dram);
                             let mut prot = write_lock(prot);
                             let recovery = recover_in_dram(&mut prot, &mut dram, &flagged);
-                            shard.event(
-                                index,
-                                Track::Fetch,
-                                EventKind::Recover {
-                                    groups_zeroed: recovery.groups_zeroed as u64,
-                                    weights_zeroed: recovery.weights_zeroed as u64,
-                                },
-                            );
+                            shard.event(index, Track::Fetch, recover_event(recovery));
                             // Refresh the recovered layers in the pending snapshot,
                             // strictly before publish: consumers can never observe
                             // pre-recovery bytes.
@@ -326,19 +331,24 @@ pub fn serve(
                         .iter()
                         .zip(predictions.iter().zip(subset.labels()))
                     {
-                        telemetry.complete(RequestRecord {
+                        shard.force_record_ns(
+                            metric::LATENCY_NS,
+                            worker_labels.clone(),
+                            request.submitted.elapsed_ns(),
+                        );
+                        records.push(RequestRecord {
                             id: request.id,
                             batch: batch.index,
                             correct: *prediction == label,
-                            latency_ns: request.submitted.elapsed_ns(),
                         });
                     }
                     // One flush per batch, at the barrier cadence the engine already
                     // has — never per sample.
-                    telemetry.flush(&mut shard);
+                    obs.flush(&mut shard);
                 }
-                telemetry.flush(&mut shard);
-            });
+                obs.flush(&mut shard);
+                records
+            }));
         }
 
         // Batcher (this thread): coalesce, run the logical clock, dispatch — and at
@@ -346,9 +356,9 @@ pub fn serve(
         // scripted strikes, then one scrub sweep, then one re-keying tick. Each
         // step records through its own role's shard, so the trace keeps one row
         // per role and every journal `(batch, track)` key has a single emitter.
-        let mut adversary = telemetry.shard(Tid::Adversary);
-        let mut scrubber = telemetry.shard(Tid::Scrubber);
-        let mut rekeyer = telemetry.shard(Tid::Rotation);
+        let mut adversary = obs.shard(Tid::Adversary);
+        let mut scrubber = obs.shard(Tid::Scrubber);
+        let mut rekeyer = obs.shard(Tid::Rotation);
         let mut last_strike_batch = 0usize;
         let mut scrub_cursor = 0usize;
         let mut buf: Vec<i8> = Vec::new();
@@ -392,7 +402,16 @@ pub fn serve(
                     let timer = adversary.span_start();
                     let mount = event.mount(&mut write_lock(&dram));
                     adversary.span_end(timer, "strike_mount", index);
-                    telemetry.strike(batches, mount);
+                    adversary.force_add(metric::STRIKES, Labels::none(), 1);
+                    adversary.event(
+                        index,
+                        Track::Strike,
+                        EventKind::Strike {
+                            flips_landed: mount.flips_landed as u64,
+                            flips_missed: mount.flips_missed as u64,
+                            rows_hammered: mount.rows_hammered as u64,
+                        },
+                    );
                 }
             }
             // One sweep step over a rotating slice of the DRAM image, straight from
@@ -411,10 +430,18 @@ pub fn serve(
                 scrubber.span_end(timer, "scrub_sweep", index);
                 scrub_cursor = (scrub_cursor + scrub_step) % num_layers;
                 if flagged.attack_detected() {
-                    telemetry.detection(batches, true, flagged.num_flagged());
+                    scrubber.force_add(metric::DETECTIONS, Labels::none(), 1);
+                    scrubber.event(
+                        index,
+                        Track::Scrub,
+                        EventKind::Detect {
+                            via_scrub: true,
+                            groups_flagged: flagged.num_flagged() as u64,
+                        },
+                    );
                     let mut image = write_lock(&dram);
                     let recovery = recover_in_dram(&mut write_lock(prot), &mut image, &flagged);
-                    telemetry.recovered(batches, Track::Scrub, recovery);
+                    scrubber.event(index, Track::Scrub, recover_event(recovery));
                 }
                 scrubber.force_add(metric::SCRUB_NS, Labels::none(), started.elapsed_ns());
             }
@@ -438,7 +465,7 @@ pub fn serve(
                     },
                     RotationAction::Resigned { layer, recovered } => {
                         if recovered.groups_zeroed > 0 {
-                            telemetry.recovered(batches, Track::Rotate, recovered);
+                            rekeyer.event(index, Track::Rotate, recover_event(recovered));
                         }
                         RotationKind::Resigned {
                             layer: layer as u64,
@@ -452,10 +479,7 @@ pub fn serve(
                         epoch: epoch.index(),
                     },
                 };
-                telemetry.rotation(RotationEvent {
-                    batch: batches,
-                    kind,
-                });
+                rekeyer.event(index, Track::Rotate, EventKind::Rotation(kind));
             }
             if batch_tx
                 .send(Batch {
@@ -472,19 +496,49 @@ pub fn serve(
             // Scripted strikes whose batch offsets the run never reached: a
             // structured journal event + counter, so harnesses can assert on it
             // instead of scraping stderr.
-            telemetry.strike_never_fired(last_strike_batch, timeline.remaining());
+            let remaining = timeline.remaining() as u64;
+            adversary.force_add(metric::STRIKES_NEVER_FIRED, Labels::none(), remaining);
+            adversary.event(
+                last_strike_batch as u64,
+                Track::Strike,
+                EventKind::StrikeNeverFired { remaining },
+            );
         }
         for shard in [&mut adversary, &mut scrubber, &mut rekeyer] {
-            telemetry.flush(shard);
+            obs.flush(shard);
         }
         // Both channel ends are moved into this closure, so a barrier step that
         // panics also disconnects them on unwind: the driver and the workers exit
         // and the panic leaves `serve` instead of waiting out the remaining traffic.
         drop(req_rx);
         drop(batch_tx);
+        // Resume a worker's panic with its own payload rather than the scope's
+        // generic one.
+        let mut records = Vec::new();
+        for worker in workers {
+            match worker.join() {
+                Ok(mut served) => records.append(&mut served),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        records
     });
 
-    telemetry.finish(batches, config.workers, config.window)
+    finish(
+        obs.finish(),
+        records,
+        batches,
+        config.workers,
+        config.window,
+    )
+}
+
+/// The journal payload of one recovery pass.
+fn recover_event(recovery: RecoveryReport) -> EventKind {
+    EventKind::Recover {
+        groups_zeroed: recovery.groups_zeroed as u64,
+        weights_zeroed: recovery.weights_zeroed as u64,
+    }
 }
 
 /// Builds the per-worker model replicas the engine consumes, by draining a

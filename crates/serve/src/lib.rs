@@ -14,6 +14,10 @@
 //! * **tail-latency cost of in-path verification** — p50/p90/p99 over a fixed-bucket
 //!   [`LatencyHistogram`], plus verify/scrub duty cycles.
 //!
+//! Every journal event and metric behind those quantities is recorded once, on the
+//! `radar-obs` shard of the thread that emits it; the [`ServeOutcome`] is derived
+//! from the merged [`ObsReport`] plus the workers' request records.
+//!
 //! # Architecture (threads, no async runtime)
 //!
 //! ```text
@@ -60,14 +64,13 @@ mod traffic;
 pub use config::ServeConfig;
 pub use engine::{replicas, serve};
 // The latency histogram was promoted into `radar-obs`; re-exported so existing
-// `radar_serve::LatencyHistogram` consumers keep compiling. The observability
-// config types travel with `ServeConfig::obs`, and `RotationKind` is the type of
-// `RotationEvent::kind`.
-pub use radar_obs::{LatencyHistogram, ObsConfig, ObsLevel, ObsReport, RotationKind};
+// `radar_serve::LatencyHistogram` consumers keep compiling. `ObsLevel` is the type
+// of `ServeConfig::obs`, and `RotationKind` the type of `RotationEvent::kind`.
+pub use radar_obs::{LatencyHistogram, ObsLevel, ObsReport, RotationKind};
 pub use recovery::{recover_in_dram, recover_in_dram_traced};
 pub use telemetry::{
-    metric, AccuracyWindow, AttackStrike, AttackSummary, DetectionEvent, RequestRecord,
-    RotationEvent, ServeOutcome, Telemetry, TimeToDetect,
+    metric, AccuracyWindow, AttackSummary, DetectionEvent, RotationEvent, ServeOutcome,
+    TimeToDetect,
 };
 pub use traffic::TrafficSchedule;
 
@@ -77,7 +80,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ServeConfig>();
     assert_send_sync::<TrafficSchedule>();
-    assert_send_sync::<Telemetry>();
     assert_send_sync::<LatencyHistogram>();
     assert_send_sync::<ServeOutcome>();
 };

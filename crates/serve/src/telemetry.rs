@@ -1,26 +1,21 @@
 //! The serving engine's telemetry, as a **view over the `radar-obs` registry and
 //! journal**.
 //!
-//! [`Telemetry`] no longer owns bespoke vectors-of-everything: threads record
-//! through per-thread [`ObsShard`]s (or the shared convenience methods below,
-//! which journal through one internal shard), and [`finish`](Telemetry::finish)
-//! derives the [`ServeOutcome`] — detections, strikes, rotations, recovery
-//! totals, duty cycles, the latency histogram — from the merged
-//! [`ObsReport`]. The outcome's shape (and with it the `BENCH_serve.json`
-//! schema) is unchanged from the pre-obs implementation; the raw report rides
-//! along in [`ServeOutcome::obs`] for exporters and replay tests.
-
-use std::sync::Mutex;
+//! Every thread records into its own [`ObsShard`](radar_obs::ObsShard): each worker
+//! its fetch-track events, duty-cycle counters and per-request latencies, and the
+//! batcher's adversary, scrubber and re-keying shards their own strike, detect,
+//! recover and rotation events. [`finish`] then derives the [`ServeOutcome`] —
+//! detections, strikes, rotations, recovery totals, duty cycles, time-to-detect,
+//! the latency histogram and the accuracy windows — from the merged
+//! [`ObsReport`] plus the workers' request records. The raw report rides along in
+//! [`ServeOutcome::obs`] for exporters and replay tests.
 
 use radar_core::{KeyEpoch, RecoveryReport};
 use radar_memsim::MountReport;
-use radar_obs::{
-    EventKind, Labels, LatencyHistogram, ObsConfig, ObsCore, ObsReport, ObsShard, RotationKind,
-    Tid, Track,
-};
+use radar_obs::{EventKind, LatencyHistogram, ObsReport, RotationKind};
 
 /// Registry metric names the serve engine records under (always-on telemetry
-/// class; the `BENCH_serve.json` fields derive from these).
+/// class; the `ServeOutcome` duty cycles and latency histogram derive from these).
 pub mod metric {
     /// Per-request end-to-end latency histogram (labelled per worker).
     pub const LATENCY_NS: &str = "serve.latency_ns";
@@ -48,28 +43,15 @@ pub mod metric {
     pub const SNAPSHOT_RECLAIMS: &str = "serve.snapshot_reclaims";
 }
 
-/// Outcome of one completed request.
+/// Outcome of one completed request; its latency goes to [`metric::LATENCY_NS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestRecord {
+pub(crate) struct RequestRecord {
     /// Global submission order.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Batch the request was served in.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Whether the model's top-1 prediction matched the label.
-    pub correct: bool,
-    /// Queue + batching + fetch + inference latency, in nanoseconds.
-    pub latency_ns: u64,
-}
-
-/// One adversary strike, as it landed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackStrike {
-    /// Batch index (logical clock) the strike fired at.
-    pub batch: usize,
-    /// What the mount achieved.
-    pub mount: MountReport,
-    /// Wall-clock seconds since serving started.
-    pub at_seconds: f64,
+    pub(crate) correct: bool,
 }
 
 /// One detection event: the first moment a verification pass flagged groups.
@@ -97,315 +79,147 @@ pub struct RotationEvent {
     pub kind: RotationKind,
 }
 
-/// Thread-shared telemetry collector: the workers and the batcher's barrier steps
-/// (strikes, scrub sweeps, re-keying ticks) all record into it — either through
-/// their own [`ObsShard`] (hot paths) or through the shared convenience methods
-/// below (rare events) — and
-/// [`finish`](Telemetry::finish) folds everything into a [`ServeOutcome`].
-#[derive(Debug)]
-pub struct Telemetry {
-    core: ObsCore,
-    /// Backs the `&self` convenience methods; flushed into the core at `finish`.
-    shared: Mutex<ObsShard>,
-    completions: Mutex<Vec<RequestRecord>>,
-}
+/// Derives a [`ServeOutcome`] from a session's merged [`ObsReport`] and the
+/// workers' request records.
+///
+/// `batches` is the number of dispatched batches, `workers` the worker count (for
+/// the verify duty-cycle normalization) and `window` the served-accuracy window
+/// size in requests.
+pub(crate) fn finish(
+    obs: ObsReport,
+    mut records: Vec<RequestRecord>,
+    batches: usize,
+    workers: usize,
+    window: usize,
+) -> ServeOutcome {
+    records.sort_unstable_by_key(|r| r.id);
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Telemetry {
-    /// Creates a collector with the default observability config; the session
-    /// clock starts now.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(ObsConfig::default())
-    }
-
-    /// Creates a collector recording at the given observability config.
-    #[must_use]
-    pub fn with_config(config: ObsConfig) -> Self {
-        let core = ObsCore::new(config);
-        let shared = Mutex::new(core.shard(Tid::Batcher));
-        Telemetry {
-            core,
-            shared,
-            completions: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Creates a per-thread shard bound to this telemetry's session (level and
-    /// clock anchor shared). Flush it back with [`flush`](Self::flush).
-    #[must_use]
-    pub fn shard(&self, tid: Tid) -> ObsShard {
-        self.core.shard(tid)
-    }
-
-    /// Folds a per-thread shard into the session (call at barrier points).
-    pub fn flush(&self, shard: &mut ObsShard) {
-        self.core.flush(shard);
-    }
-
-    fn with_shared(&self, record: impl FnOnce(&mut ObsShard)) {
-        let mut shared = self
-            .shared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        record(&mut shared);
-    }
-
-    /// Records a completed request (also feeds the latency histogram).
-    pub fn complete(&self, record: RequestRecord) {
-        self.with_shared(|shard| {
-            shard.force_record_ns(metric::LATENCY_NS, Labels::none(), record.latency_ns);
-        });
-        self.completions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(record);
-    }
-
-    /// Records an adversary strike.
-    pub fn strike(&self, batch: usize, mount: MountReport) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::STRIKES, Labels::none(), 1);
-            shard.event(
-                batch as u64,
-                Track::Strike,
-                EventKind::Strike {
-                    flips_landed: mount.flips_landed as u64,
-                    flips_missed: mount.flips_missed as u64,
-                    rows_hammered: mount.rows_hammered as u64,
-                },
-            );
-        });
-    }
-
-    /// Records that `remaining` scripted strikes never fired because the run ended
-    /// before their batch offsets (`batch` is the adversary's last observed batch).
-    pub fn strike_never_fired(&self, batch: usize, remaining: usize) {
-        self.with_shared(|shard| {
-            shard.force_add(
-                metric::STRIKES_NEVER_FIRED,
-                Labels::none(),
-                remaining as u64,
-            );
-            shard.event(
-                batch as u64,
-                Track::Strike,
-                EventKind::StrikeNeverFired {
-                    remaining: remaining as u64,
-                },
-            );
-        });
-    }
-
-    /// Records a detection event.
-    pub fn detection(&self, batch: usize, via_scrub: bool, groups_flagged: usize) {
-        let track = if via_scrub {
-            Track::Scrub
-        } else {
-            Track::Fetch
-        };
-        self.with_shared(|shard| {
-            shard.force_add(metric::DETECTIONS, Labels::none(), 1);
-            shard.event(
-                batch as u64,
-                track,
-                EventKind::Detect {
-                    via_scrub,
-                    groups_flagged: groups_flagged as u64,
-                },
-            );
-        });
-    }
-
-    /// Records a rotation tick (only the batcher's re-keying step appends, so the
-    /// journal's rotate track is already in logical-clock order).
-    pub fn rotation(&self, event: RotationEvent) {
-        self.with_shared(|shard| {
-            shard.event(
-                event.batch as u64,
-                Track::Rotate,
-                EventKind::Rotation(event.kind),
-            );
-        });
-    }
-
-    /// Records a recovery pass on the given logical track (fetch for in-path,
-    /// scrub for the background sweep, rotate for pre-sign recoveries).
-    pub fn recovered(&self, batch: usize, track: Track, recovery: RecoveryReport) {
-        self.with_shared(|shard| {
-            shard.event(
-                batch as u64,
-                track,
-                EventKind::Recover {
-                    groups_zeroed: recovery.groups_zeroed as u64,
-                    weights_zeroed: recovery.weights_zeroed as u64,
-                },
-            );
-        });
-    }
-
-    /// Folds everything collected into a [`ServeOutcome`].
-    ///
-    /// `batches` is the number of dispatched batches, `workers` the worker count (for
-    /// the verify duty-cycle normalization) and `window` the served-accuracy window
-    /// size in requests.
-    #[must_use]
-    pub fn finish(self, batches: usize, workers: usize, window: usize) -> ServeOutcome {
-        let Telemetry {
-            core,
-            shared,
-            completions,
-        } = self;
-        let mut shared = shared
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.flush(&mut shared);
-        let obs = core.finish();
-
-        let mut completions = completions
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        completions.sort_unstable_by_key(|r| r.id);
-
-        // The journal is canonically ordered; project the view structs out of it.
-        let mut strikes: Vec<AttackStrike> = Vec::new();
-        let mut detections: Vec<DetectionEvent> = Vec::new();
-        let mut rotations: Vec<RotationEvent> = Vec::new();
-        let mut recovery = RecoveryReport::default();
-        for event in obs.journal.events() {
-            match event.kind {
-                EventKind::Strike {
-                    flips_landed,
-                    flips_missed,
-                    rows_hammered,
-                } => strikes.push(AttackStrike {
-                    batch: event.batch as usize,
-                    mount: MountReport {
-                        flips_landed: flips_landed as usize,
-                        flips_missed: flips_missed as usize,
-                        rows_hammered: rows_hammered as usize,
-                    },
-                    at_seconds: event.at_seconds,
-                }),
-                EventKind::Detect {
-                    via_scrub,
-                    groups_flagged,
-                } => detections.push(DetectionEvent {
-                    batch: event.batch as usize,
-                    via_scrub,
-                    groups_flagged: groups_flagged as usize,
-                    at_seconds: event.at_seconds,
-                }),
-                EventKind::Rotation(kind) => rotations.push(RotationEvent {
-                    batch: event.batch as usize,
-                    kind,
-                }),
-                EventKind::Recover {
-                    groups_zeroed,
-                    weights_zeroed,
-                } => {
-                    recovery.groups_zeroed += groups_zeroed as usize;
-                    recovery.weights_zeroed += weights_zeroed as usize;
+    // The journal is canonically ordered by batch, so the first strike seen is the
+    // earliest one.
+    let mut attack: Option<AttackSummary> = None;
+    // `(batch, at_seconds)` of the first strike that landed a flip.
+    let mut first_landed: Option<(usize, f64)> = None;
+    let mut detections: Vec<DetectionEvent> = Vec::new();
+    let mut rotations: Vec<RotationEvent> = Vec::new();
+    let mut recovery = RecoveryReport::default();
+    for event in obs.journal.events() {
+        let batch = event.batch as usize;
+        match event.kind {
+            EventKind::Strike {
+                flips_landed,
+                flips_missed,
+                rows_hammered,
+            } => {
+                let mount = MountReport {
+                    flips_landed: flips_landed as usize,
+                    flips_missed: flips_missed as usize,
+                    rows_hammered: rows_hammered as usize,
+                };
+                if flips_landed > 0 && first_landed.is_none() {
+                    first_landed = Some((batch, event.at_seconds));
                 }
-                _ => {}
-            }
-        }
-
-        let windows: Vec<AccuracyWindow> = completions
-            .chunks(window.max(1))
-            .map(|chunk| {
-                let correct = chunk.iter().filter(|r| r.correct).count();
-                AccuracyWindow {
-                    start: chunk.first().map_or(0, |r| r.id),
-                    end: chunk.last().map_or(0, |r| r.id + 1),
-                    correct,
-                    total: chunk.len(),
-                }
-            })
-            .collect();
-
-        let attack = strikes.iter().fold(None, |acc: Option<AttackSummary>, s| {
-            Some(match acc {
-                None => AttackSummary {
-                    strikes: 1,
-                    first_batch: s.batch,
-                    first_at_seconds: s.at_seconds,
-                    mount: s.mount.clone(),
-                },
-                Some(mut sum) => {
-                    sum.strikes += 1;
-                    if s.batch < sum.first_batch {
-                        sum.first_batch = s.batch;
-                        sum.first_at_seconds = s.at_seconds;
-                    }
+                match &mut attack {
                     // Timeline strikes aggregate instead of dropping earlier reports.
-                    sum.mount.merge(&s.mount);
-                    sum
+                    Some(sum) => {
+                        sum.strikes += 1;
+                        sum.mount.merge(&mount);
+                    }
+                    None => {
+                        attack = Some(AttackSummary {
+                            strikes: 1,
+                            first_batch: batch,
+                            first_at_seconds: event.at_seconds,
+                            mount,
+                        });
+                    }
                 }
-            })
-        });
-
-        // Time to detect: from the first strike that landed a flip to the first
-        // detection at or after it. Requests are counted over the batches served in
-        // between — the traffic exposed to corrupted weights before detection.
-        let time_to_detect = attack.as_ref().and_then(|attack| {
-            if attack.mount.flips_landed == 0 {
-                return None;
             }
-            let first = detections.iter().find(|d| d.batch >= attack.first_batch)?;
-            let requests_between = completions
-                .iter()
-                .filter(|r| r.batch >= attack.first_batch && r.batch < first.batch)
-                .count();
-            Some(TimeToDetect {
-                batches: first.batch - attack.first_batch,
-                requests: requests_between,
-                seconds: (first.at_seconds - attack.first_at_seconds).max(0.0),
-                via_scrub: first.via_scrub,
-            })
-        });
-
-        let wall_seconds = obs.wall_seconds;
-        let latency = obs.registry.histogram_merged(metric::LATENCY_NS);
-        let verify_seconds = obs.registry.counter_sum(metric::VERIFY_NS) as f64 / 1e9;
-        let scrub_seconds = obs.registry.counter_sum(metric::SCRUB_NS) as f64 / 1e9;
-        let infer_seconds = obs.registry.counter_sum(metric::INFER_NS) as f64 / 1e9;
-        ServeOutcome {
-            requests: completions.len(),
-            batches,
-            wall_seconds,
-            throughput_rps: if wall_seconds > 0.0 {
-                completions.len() as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            latency,
-            verify_seconds,
-            scrub_seconds,
-            infer_seconds,
-            verify_duty: if wall_seconds > 0.0 {
-                verify_seconds / (wall_seconds * workers.max(1) as f64)
-            } else {
-                0.0
-            },
-            scrub_duty: if wall_seconds > 0.0 {
-                scrub_seconds / wall_seconds
-            } else {
-                0.0
-            },
-            attack,
-            detections,
-            rotations,
-            time_to_detect,
-            recovery,
-            windows,
-            obs,
+            EventKind::Detect {
+                via_scrub,
+                groups_flagged,
+            } => detections.push(DetectionEvent {
+                batch,
+                via_scrub,
+                groups_flagged: groups_flagged as usize,
+                at_seconds: event.at_seconds,
+            }),
+            EventKind::Rotation(kind) => rotations.push(RotationEvent { batch, kind }),
+            EventKind::Recover {
+                groups_zeroed,
+                weights_zeroed,
+            } => {
+                recovery.groups_zeroed += groups_zeroed as usize;
+                recovery.weights_zeroed += weights_zeroed as usize;
+            }
+            _ => {}
         }
+    }
+
+    let windows: Vec<AccuracyWindow> = records
+        .chunks(window.max(1))
+        .map(|chunk| {
+            let correct = chunk.iter().filter(|r| r.correct).count();
+            AccuracyWindow {
+                start: chunk.first().map_or(0, |r| r.id),
+                end: chunk.last().map_or(0, |r| r.id + 1),
+                correct,
+                total: chunk.len(),
+            }
+        })
+        .collect();
+
+    // Time to detect: from the first strike that landed a flip to the first
+    // detection at or after it. Requests are counted over the batches served in
+    // between — the traffic exposed to corrupted weights before detection.
+    let time_to_detect = first_landed.and_then(|(strike_batch, strike_at)| {
+        let first = detections.iter().find(|d| d.batch >= strike_batch)?;
+        let requests_between = records
+            .iter()
+            .filter(|r| (strike_batch..first.batch).contains(&r.batch))
+            .count();
+        Some(TimeToDetect {
+            batches: first.batch - strike_batch,
+            requests: requests_between,
+            seconds: (first.at_seconds - strike_at).max(0.0),
+            via_scrub: first.via_scrub,
+        })
+    });
+
+    let wall_seconds = obs.wall_seconds;
+    let latency = obs.registry.histogram_merged(metric::LATENCY_NS);
+    let verify_seconds = obs.registry.counter_sum(metric::VERIFY_NS) as f64 / 1e9;
+    let scrub_seconds = obs.registry.counter_sum(metric::SCRUB_NS) as f64 / 1e9;
+    let infer_seconds = obs.registry.counter_sum(metric::INFER_NS) as f64 / 1e9;
+    ServeOutcome {
+        requests: records.len(),
+        batches,
+        wall_seconds,
+        throughput_rps: if wall_seconds > 0.0 {
+            records.len() as f64 / wall_seconds
+        } else {
+            0.0
+        },
+        latency,
+        verify_seconds,
+        scrub_seconds,
+        infer_seconds,
+        verify_duty: if wall_seconds > 0.0 {
+            verify_seconds / (wall_seconds * workers.max(1) as f64)
+        } else {
+            0.0
+        },
+        scrub_duty: if wall_seconds > 0.0 {
+            scrub_seconds / wall_seconds
+        } else {
+            0.0
+        },
+        attack,
+        detections,
+        rotations,
+        time_to_detect,
+        recovery,
+        windows,
+        obs,
     }
 }
 
@@ -422,7 +236,7 @@ pub struct AttackSummary {
     pub mount: MountReport,
 }
 
-/// Detection latency relative to the first strike.
+/// Detection latency relative to the first strike that landed a flip.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeToDetect {
     /// Batches dispatched between the strike and the detecting pass.
@@ -490,8 +304,8 @@ pub struct ServeOutcome {
     /// Every re-keying tick, in logical order
     /// (empty when rotation is disabled).
     pub rotations: Vec<RotationEvent>,
-    /// Detection latency for the first strike (`None` when nothing was detected or
-    /// nothing was attacked).
+    /// Detection latency for the first strike that landed a flip (`None` when
+    /// nothing was detected or no strike landed a flip).
     pub time_to_detect: Option<TimeToDetect>,
     /// Total recovery work performed.
     pub recovery: RecoveryReport,
@@ -557,25 +371,75 @@ impl ServeOutcome {
 
 #[cfg(test)]
 mod tests {
+    use radar_obs::{Event, EventJournal, Labels, MetricsRegistry, ObsLevel, Track};
+
     use super::*;
 
     fn record(id: usize, batch: usize, correct: bool) -> RequestRecord {
-        RequestRecord {
-            id,
+        RequestRecord { id, batch, correct }
+    }
+
+    /// An event whose wall-clock annotation is 10 ms per batch.
+    fn event(batch: u64, track: Track, kind: EventKind) -> Event {
+        Event {
             batch,
-            correct,
-            latency_ns: 1_000_000,
+            track,
+            kind,
+            at_seconds: batch as f64 / 100.0,
+        }
+    }
+
+    fn strike(batch: u64, flips_landed: u64, flips_missed: u64, rows_hammered: u64) -> Event {
+        event(
+            batch,
+            Track::Strike,
+            EventKind::Strike {
+                flips_landed,
+                flips_missed,
+                rows_hammered,
+            },
+        )
+    }
+
+    fn detect(batch: u64, via_scrub: bool, groups_flagged: u64) -> Event {
+        let track = if via_scrub {
+            Track::Scrub
+        } else {
+            Track::Fetch
+        };
+        event(
+            batch,
+            track,
+            EventKind::Detect {
+                via_scrub,
+                groups_flagged,
+            },
+        )
+    }
+
+    /// A one-second session report over `events` and `registry`.
+    fn report(events: Vec<Event>, registry: MetricsRegistry) -> ObsReport {
+        ObsReport {
+            level: ObsLevel::Counters,
+            wall_seconds: 1.0,
+            registry,
+            journal: EventJournal::from_events(events, usize::MAX),
+            spans: Vec::new(),
         }
     }
 
     #[test]
     fn windows_chunk_by_request_id_in_order() {
-        let telemetry = Telemetry::new();
+        let mut registry = MetricsRegistry::new();
         // Complete out of order; windows must still chunk by id.
-        for id in [3usize, 0, 2, 1, 4] {
-            telemetry.complete(record(id, id / 2, id != 2));
-        }
-        let outcome = telemetry.finish(3, 2, 2);
+        let records: Vec<RequestRecord> = [3usize, 0, 2, 1, 4]
+            .into_iter()
+            .map(|id| {
+                registry.record_ns(metric::LATENCY_NS, Labels::none().worker(0), 1_000_000);
+                record(id, id / 2, id != 2)
+            })
+            .collect();
+        let outcome = finish(report(Vec::new(), registry), records, 3, 2, 2);
         assert_eq!(outcome.requests, 5);
         assert_eq!(outcome.windows.len(), 3);
         assert_eq!(outcome.windows[0].start, 0);
@@ -588,24 +452,15 @@ mod tests {
 
     #[test]
     fn time_to_detect_counts_requests_between_strike_and_detection() {
-        let telemetry = Telemetry::new();
-        for id in 0..12 {
-            telemetry.complete(record(id, id / 2, true)); // batches 0..6, 2 requests each
-        }
-        telemetry.strike(
-            2,
-            MountReport {
-                flips_landed: 3,
-                flips_missed: 1,
-                rows_hammered: 2,
-            },
-        );
-        telemetry.detection(5, true, 4);
-        let outcome = telemetry.finish(6, 1, 4);
+        // Batches 0..6, 2 requests each.
+        let records = (0..12).map(|id| record(id, id / 2, true)).collect();
+        let events = vec![strike(2, 3, 1, 2), detect(5, true, 4)];
+        let outcome = finish(report(events, MetricsRegistry::new()), records, 6, 1, 4);
         let ttd = outcome.time_to_detect.expect("attacked and detected");
         assert_eq!(ttd.batches, 3);
         // Requests in batches 2..5 = ids 4..10 → 6 requests.
         assert_eq!(ttd.requests, 6);
+        assert!((ttd.seconds - 0.03).abs() < 1e-9);
         assert!(ttd.via_scrub);
         let attack = outcome.attack.expect("strike recorded");
         assert_eq!(attack.strikes, 1);
@@ -614,51 +469,42 @@ mod tests {
 
     #[test]
     fn detection_before_strike_batch_is_ignored_for_ttd() {
-        let telemetry = Telemetry::new();
-        telemetry.strike(
-            4,
-            MountReport {
-                flips_landed: 1,
-                flips_missed: 0,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(1, false, 1); // stale / unrelated
-        let outcome = telemetry.finish(6, 1, 4);
+        // The detection at batch 1 is stale / unrelated to the strike at batch 4.
+        let events = vec![strike(4, 1, 0, 1), detect(1, false, 1)];
+        let outcome = finish(report(events, MetricsRegistry::new()), Vec::new(), 6, 1, 4);
         assert!(outcome.time_to_detect.is_none());
     }
 
     #[test]
     fn strike_that_landed_nothing_yields_no_ttd() {
-        let telemetry = Telemetry::new();
-        telemetry.strike(
-            2,
-            MountReport {
-                flips_landed: 0,
-                flips_missed: 5,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(3, false, 1);
-        let outcome = telemetry.finish(4, 1, 4);
+        let events = vec![strike(2, 0, 5, 1), detect(3, false, 1)];
+        let outcome = finish(report(events, MetricsRegistry::new()), Vec::new(), 4, 1, 4);
         assert!(outcome.attack.is_some());
         assert!(outcome.time_to_detect.is_none());
     }
 
     #[test]
+    fn time_to_detect_is_anchored_on_the_first_strike_that_landed_a_flip() {
+        // Strike A at batch 2 lands nothing; strike B at batch 5 lands one flip,
+        // and the in-path check of batch 5 catches it.
+        let records = (0..12).map(|id| record(id, id / 2, true)).collect();
+        let events = vec![strike(2, 0, 1, 1), strike(5, 1, 0, 1), detect(5, false, 1)];
+        let outcome = finish(report(events, MetricsRegistry::new()), records, 6, 1, 4);
+        let ttd = outcome.time_to_detect.expect("attacked and detected");
+        assert_eq!(ttd.batches, 0);
+        assert_eq!(ttd.requests, 0);
+        assert_eq!(ttd.seconds, 0.0);
+        // The attack summary still starts at the earliest strike.
+        let attack = outcome.attack.expect("strikes recorded");
+        assert_eq!(attack.strikes, 2);
+        assert_eq!(attack.first_batch, 2);
+        assert_eq!(attack.mount.flips_landed, 1);
+    }
+
+    #[test]
     fn multiple_strikes_merge_mount_reports() {
-        let telemetry = Telemetry::new();
-        for batch in [2usize, 6] {
-            telemetry.strike(
-                batch,
-                MountReport {
-                    flips_landed: 2,
-                    flips_missed: 1,
-                    rows_hammered: 2,
-                },
-            );
-        }
-        let outcome = telemetry.finish(8, 1, 4);
+        let events = vec![strike(2, 2, 1, 2), strike(6, 2, 1, 2)];
+        let outcome = finish(report(events, MetricsRegistry::new()), Vec::new(), 8, 1, 4);
         let attack = outcome.attack.expect("strikes recorded");
         assert_eq!(attack.strikes, 2);
         assert_eq!(attack.first_batch, 2);
@@ -668,36 +514,43 @@ mod tests {
 
     #[test]
     fn the_view_is_a_projection_of_the_journal_and_registry() {
-        let telemetry = Telemetry::new();
-        telemetry.complete(record(0, 0, true));
-        telemetry.strike(
-            1,
-            MountReport {
-                flips_landed: 1,
-                flips_missed: 0,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(2, false, 3);
-        telemetry.recovered(
-            2,
-            Track::Fetch,
-            RecoveryReport {
-                groups_zeroed: 3,
-                weights_zeroed: 48,
-            },
-        );
-        telemetry.rotation(RotationEvent {
-            batch: 3,
-            kind: RotationKind::Published { epoch: 1 },
-        });
-        telemetry.strike_never_fired(3, 2);
-        let outcome = telemetry.finish(4, 1, 4);
+        let events = vec![
+            strike(1, 1, 0, 1),
+            detect(2, false, 3),
+            event(
+                2,
+                Track::Fetch,
+                EventKind::Recover {
+                    groups_zeroed: 3,
+                    weights_zeroed: 48,
+                },
+            ),
+            event(
+                3,
+                Track::Rotate,
+                EventKind::Rotation(RotationKind::Published { epoch: 1 }),
+            ),
+            event(
+                3,
+                Track::Strike,
+                EventKind::StrikeNeverFired { remaining: 2 },
+            ),
+        ];
+        let mut registry = MetricsRegistry::new();
+        registry.add_counter(metric::STRIKES, Labels::none(), 1);
+        registry.add_counter(metric::STRIKES_NEVER_FIRED, Labels::none(), 2);
+        registry.add_counter(metric::VERIFY_NS, Labels::none().worker(0), 300_000_000);
+        registry.add_counter(metric::VERIFY_NS, Labels::none().worker(1), 200_000_000);
+        let outcome = finish(report(events, registry), vec![record(0, 0, true)], 4, 1, 4);
         // View fields and raw report agree.
         assert_eq!(outcome.detections.len(), 1);
         assert_eq!(outcome.recovery.groups_zeroed, 3);
         assert_eq!(outcome.recovery.weights_zeroed, 48);
         assert_eq!(outcome.epochs_published(), 1);
+        assert_eq!(outcome.last_published_epoch(), Some(KeyEpoch::new(1)));
+        // Duty cycles sum the per-worker counters over one worker-second.
+        assert!((outcome.verify_seconds - 0.5).abs() < 1e-9);
+        assert!((outcome.verify_duty - 0.5).abs() < 1e-9);
         assert_eq!(
             outcome.obs.registry.counter_sum(metric::STRIKES),
             1,

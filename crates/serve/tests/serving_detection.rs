@@ -165,7 +165,7 @@ fn engine_config() -> ServeConfig {
         scrub_layers: 5,
         rotate_every: 0,
         window: 8,
-        obs: radar_serve::ObsConfig::default(),
+        obs: radar_serve::ObsLevel::Counters,
     }
 }
 
