@@ -42,6 +42,7 @@ fn every_rule_catches_its_seeded_fixture_violation() {
     for rule_id in [
         "hot-path-purity",
         "hot-path-alloc",
+        "quantized-forward-stateless",
         "determinism",
         "atomics-justify",
         "atomics-barrier",
@@ -89,6 +90,18 @@ fn alloc_rule_is_function_scoped() {
     // Only the allocation inside the hot function fires; `cold_setup` does not.
     assert_eq!(rule.violations.len(), 1, "got: {:#?}", rule.violations);
     assert!(rule.violations[0].line <= 6);
+}
+
+#[test]
+fn stateless_rule_is_function_scoped() {
+    let report = run_fixture("quantized-forward-stateless");
+    let rule = report
+        .rule("quantized-forward-stateless")
+        .expect("rule exists");
+    // Only the cache write inside `forward_quantized` fires; the training forward
+    // that caches for backward does not.
+    assert_eq!(rule.violations.len(), 1, "got: {:#?}", rule.violations);
+    assert_eq!(rule.violations[0].token, "self.cache");
 }
 
 #[test]

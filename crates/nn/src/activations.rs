@@ -1,6 +1,7 @@
 use radar_tensor::Tensor;
 
 use crate::layer::{Layer, Param};
+use crate::quantized::QuantCursor;
 
 /// Rectified linear unit: `y = max(x, 0)`.
 ///
@@ -29,6 +30,11 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
+        input.map(|x| x.max(0.0))
+    }
+
+    /// Evaluation mode without the backward mask: the same `max(x, 0)`.
+    fn forward_quantized(&mut self, input: &Tensor, _weights: &mut QuantCursor<'_>) -> Tensor {
         input.map(|x| x.max(0.0))
     }
 
@@ -75,6 +81,20 @@ mod tests {
         relu.forward(&Tensor::from_vec(vec![-2.0, 0.5, 3.0], &[3]).unwrap(), true);
         let g = relu.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]).unwrap());
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn forward_quantized_is_bit_identical_to_eval_forward() {
+        let x = Tensor::from_vec(
+            vec![-2.5, -0.0, 0.0, 1e-40, -1e-40, 3.25, f32::MIN, f32::MAX],
+            &[2, 4],
+        )
+        .unwrap();
+        let mut relu = Relu::new();
+        let eval = relu.forward(&x, false);
+        let fast = relu.forward_quantized(&x, &mut QuantCursor::new(&[]));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&eval));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use radar_tensor::Tensor;
 
 use crate::layer::{join_path, Layer, Param};
+use crate::quantized::QuantCursor;
 
 /// Per-channel batch normalization for `(N, C, H, W)` activations.
 ///
@@ -73,10 +74,9 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Validates the input shape and returns `(n, c, h, w)`.
+    fn check_input(&self, input: &Tensor) -> (usize, usize, usize, usize) {
         assert_eq!(
             input.shape().rank(),
             4,
@@ -94,6 +94,13 @@ impl Layer for BatchNorm2d {
             "BatchNorm2d channels {} != expected {}",
             c, self.channels
         );
+        (n, c, h, w)
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let (n, c, h, w) = self.check_input(input);
         let plane = h * w;
         let count = (n * plane) as f32;
 
@@ -149,6 +156,32 @@ impl Layer for BatchNorm2d {
             train,
             dims: [n, c, h, w],
         });
+        Tensor::from_vec(out, input.dims()).expect("bn output shape is consistent")
+    }
+
+    /// Evaluation mode without the backward cache: the same running-statistics
+    /// normalization as `forward(x, false)`, op for op — `(x − mean) · inv_std`, then
+    /// `gamma · x̂ + beta` — so the output is bit-identical, but no `x̂` tensor and
+    /// no statistics clones are built.
+    fn forward_quantized(&mut self, input: &Tensor, _weights: &mut QuantCursor<'_>) -> Tensor {
+        let (_, c, h, w) = self.check_input(input);
+        let plane = h * w;
+        let mut out = vec![0.0f32; input.numel()];
+        if plane > 0 {
+            for (i, (dst, src)) in out
+                .chunks_exact_mut(plane)
+                .zip(input.data().chunks_exact(plane))
+                .enumerate()
+            {
+                let ci = i % c;
+                let mean = self.running_mean[ci];
+                let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
+                let (g, b) = (self.gamma.value.data()[ci], self.beta.value.data()[ci]);
+                for (o, &x) in dst.iter_mut().zip(src) {
+                    *o = g * ((x - mean) * inv_std) + b;
+                }
+            }
+        }
         Tensor::from_vec(out, input.dims()).expect("bn output shape is consistent")
     }
 
@@ -322,6 +355,22 @@ mod tests {
                 grad_in.data()[idx]
             );
         }
+    }
+
+    #[test]
+    fn forward_quantized_is_bit_identical_to_eval_forward() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut bn = BatchNorm2d::new(3);
+        bn.running_mean = vec![0.7, -1.3, 0.05];
+        bn.running_var = vec![2.5, 0.3, 11.0];
+        bn.gamma.value = Tensor::from_vec(vec![1.2, -0.4, 0.9], &[3]).unwrap();
+        bn.beta.value = Tensor::from_vec(vec![-0.1, 0.6, 0.25], &[3]).unwrap();
+        let x = Tensor::rand_normal(&mut rng, &[2, 3, 5, 4], 0.2, 1.7);
+        let eval = bn.forward(&x, false);
+        let fast = bn.forward_quantized(&x, &mut QuantCursor::new(&[]));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fast.dims(), eval.dims());
+        assert_eq!(bits(&fast), bits(&eval));
     }
 
     #[test]

@@ -114,19 +114,23 @@ impl Conv2d {
         (n, c, h, w)
     }
 
-    /// Reorders `(C_out, N*Ho*Wo)` matmul output into `(N, C_out, Ho, Wo)`.
-    fn to_nchw(out2: &Tensor, n: usize, c_out: usize, ho: usize, wo: usize) -> Tensor {
-        let mut out = vec![0.0f32; n * c_out * ho * wo];
-        let data = out2.data();
-        let cols = n * ho * wo;
-        for co in 0..c_out {
-            for ni in 0..n {
-                for s in 0..ho * wo {
-                    out[((ni * c_out) + co) * ho * wo + s] = data[co * cols + ni * ho * wo + s];
+    /// Reorders `(C_out, N*Ho*Wo)` matmul output into `(N, C_out, Ho, Wo)`, one
+    /// `Ho*Wo` plane per copy. At `N = 1` the two layouts coincide and the buffer is
+    /// reused as is.
+    fn to_nchw(out2: Vec<f32>, n: usize, c_out: usize, ho: usize, wo: usize) -> Tensor {
+        let plane = ho * wo;
+        let data = if n <= 1 || plane == 0 {
+            out2
+        } else {
+            let mut out = vec![0.0f32; n * c_out * plane];
+            for (co, row) in out2.chunks_exact(n * plane).enumerate() {
+                for (ni, src) in row.chunks_exact(plane).enumerate() {
+                    out[(ni * c_out + co) * plane..][..plane].copy_from_slice(src);
                 }
             }
-        }
-        Tensor::from_vec(out, &[n, c_out, ho, wo]).expect("conv output shape is consistent")
+            out
+        };
+        Tensor::from_vec(data, &[n, c_out, ho, wo]).expect("conv output shape is consistent")
     }
 
     /// Reorders `(N, C_out, Ho, Wo)` gradients into `(C_out, N*Ho*Wo)`.
@@ -167,7 +171,7 @@ impl Layer for Conv2d {
         }
         self.cached_cols = Some(cols);
         self.cached_input_dims = Some([n, c, h, w]);
-        Self::to_nchw(&out2, n, self.out_channels, ho, wo)
+        Self::to_nchw(out2.into_vec(), n, self.out_channels, ho, wo)
     }
 
     fn forward_quantized(&mut self, input: &Tensor, weights: &mut QuantCursor<'_>) -> Tensor {
@@ -199,8 +203,7 @@ impl Layer for Conv2d {
             Some(self.bias.value.data()),
             gemm_threads(),
         );
-        let out2 = Tensor::from_vec(out2, &[self.out_channels, ncols]).expect("conv output shape");
-        Self::to_nchw(&out2, n, self.out_channels, ho, wo)
+        Self::to_nchw(out2, n, self.out_channels, ho, wo)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -79,8 +79,17 @@ pub trait Layer: Send {
     /// [`Linear`](crate::Linear)) take their panel from `weights` and run the true
     /// integer GEMM — quantized activations, i8×i8 products accumulated in `i32`,
     /// scales and bias folded into the requantization epilogue; containers thread the
-    /// cursor through their children in forward order; everything else falls back to
-    /// the float forward in evaluation mode (the default implementation below).
+    /// cursor through their children in forward order.
+    ///
+    /// The float layers that keep backward state —
+    /// [`BatchNorm2d`](crate::BatchNorm2d), [`Relu`](crate::Relu) and
+    /// [`MaxPool2d`](crate::MaxPool2d) — override this with eval-only passes that
+    /// run the same `f32` operations in the same order as `forward(x, false)`, so
+    /// their output is bit-identical, but build no cache, mask or argmax: nothing
+    /// calls [`backward`](Layer::backward) after this pass.
+    /// [`ResidualBlock`](crate::ResidualBlock) adds its branches and applies its
+    /// ReLU in place. Layers whose backward state is only a shape (global average
+    /// pooling, flatten) use the default below, the float forward in evaluation mode.
     ///
     /// The float weight parameters of weight-bearing layers are never read — this is
     /// the path that executes the DRAM-resident `i8` image the RADAR check verifies.

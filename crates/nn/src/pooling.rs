@@ -1,6 +1,7 @@
 use radar_tensor::Tensor;
 
 use crate::layer::{Layer, Param};
+use crate::quantized::QuantCursor;
 
 /// 2-D max pooling with a square window.
 ///
@@ -38,10 +39,11 @@ impl MaxPool2d {
             cache: None,
         }
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    /// Pools `input`, filling `argmax` (resized to the output) with each output's
+    /// winning input index when one is given. Ties keep the first maximum in window
+    /// order.
+    fn pool(&self, input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         assert_eq!(
             input.shape().rank(),
             4,
@@ -57,7 +59,9 @@ impl Layer for MaxPool2d {
         let ho = (h - self.kernel) / self.stride + 1;
         let wo = (w - self.kernel) / self.stride + 1;
         let mut out = vec![f32::NEG_INFINITY; n * c * ho * wo];
-        let mut argmax = vec![0usize; n * c * ho * wo];
+        if let Some(argmax) = argmax.as_deref_mut() {
+            argmax.resize(out.len(), 0);
+        }
         for ni in 0..n {
             for ci in 0..c {
                 for oh in 0..ho {
@@ -70,7 +74,9 @@ impl Layer for MaxPool2d {
                                 let iidx = ((ni * c + ci) * h + ih) * w + iw;
                                 if input.data()[iidx] > out[oidx] {
                                     out[oidx] = input.data()[iidx];
-                                    argmax[oidx] = iidx;
+                                    if let Some(argmax) = argmax.as_deref_mut() {
+                                        argmax[oidx] = iidx;
+                                    }
                                 }
                             }
                         }
@@ -78,8 +84,22 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        self.cache = Some((argmax, [n, c, h, w], [ho, wo]));
         Tensor::from_vec(out, &[n, c, ho, wo]).expect("maxpool output shape is consistent")
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        let mut argmax = Vec::new();
+        let out = self.pool(input, Some(&mut argmax));
+        let (d, od) = (input.dims(), out.dims());
+        self.cache = Some((argmax, [d[0], d[1], d[2], d[3]], [od[2], od[3]]));
+        out
+    }
+
+    /// Evaluation mode without the backward argmax: the same window maxima.
+    fn forward_quantized(&mut self, input: &Tensor, _weights: &mut QuantCursor<'_>) -> Tensor {
+        self.pool(input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -226,6 +246,26 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn maxpool_forward_quantized_is_bit_identical_to_eval_forward() {
+        // Values repeat every 7 elements, so windows hold ties; -0.0 and 0.0 tie too.
+        let x = Tensor::from_vec(
+            (0..2 * 3 * 7 * 6)
+                .map(|i| [-1.5, 0.0, 2.25, -0.0, 2.25, -7.0, 0.5][i % 7])
+                .collect(),
+            &[2, 3, 7, 6],
+        )
+        .unwrap();
+        for (kernel, stride) in [(2, 2), (3, 2), (2, 1)] {
+            let mut pool = MaxPool2d::new(kernel, stride);
+            let eval = pool.forward(&x, false);
+            let fast = pool.forward_quantized(&x, &mut QuantCursor::new(&[]));
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(fast.dims(), eval.dims());
+            assert_eq!(bits(&fast), bits(&eval), "kernel {kernel} stride {stride}");
+        }
+    }
 
     #[test]
     fn maxpool_picks_maximum() {

@@ -137,13 +137,23 @@ impl Layer for ResidualBlock {
     fn forward_quantized(&mut self, input: &Tensor, weights: &mut QuantCursor<'_>) -> Tensor {
         // Same order as `visit_params`: main branch first, then the shortcut — the
         // cursor's shape checks fail loudly if the two ever drift apart.
-        let main_out = self.main.forward_quantized(input, weights);
-        let short_out = match &mut self.shortcut {
-            Some(s) => s.forward_quantized(input, weights),
-            None => input.clone(),
+        // The sum and the ReLU run in place on the main branch's output. Per element
+        // this must stay `(main + short).max(0)`, what `forward(x, false)` computes,
+        // so the two paths agree bit for bit.
+        let mut out = self.main.forward_quantized(input, weights);
+        let projected;
+        let short = match &mut self.shortcut {
+            Some(s) => {
+                projected = s.forward_quantized(input, weights);
+                &projected
+            }
+            None => input,
         };
-        self.relu
-            .forward_quantized(&main_out.add(&short_out), weights)
+        assert_eq!(out.dims(), short.dims(), "residual branch shapes differ");
+        for (o, &s) in out.data_mut().iter_mut().zip(short.data()) {
+            *o = (*o + s).max(0.0);
+        }
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -289,6 +299,61 @@ mod tests {
         let proj = ResidualBlock::new(&mut rng, 8, 16, 2);
         assert!(!same.has_projection());
         assert!(proj.has_projection());
+    }
+
+    /// The in-place add+ReLU of `ResidualBlock::forward_quantized` against the
+    /// eval forward's own composition, `relu.forward(main + shortcut, false)`, over
+    /// the same quantized branch outputs. Batch-norm statistics, affine parameters
+    /// and biases are non-trivial; both the identity and the projection shortcut
+    /// are covered.
+    #[test]
+    fn residual_block_forward_quantized_is_bit_identical_to_eval_composition() {
+        use crate::quantized::forward_quantized_with;
+        use crate::QuantView;
+
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (cin, cout, stride) in [(4usize, 4usize, 1usize), (4, 8, 2)] {
+            let mut rng = StdRng::seed_from_u64(cout as u64);
+            let mut block = ResidualBlock::new(&mut rng, cin, cout, stride);
+            let mut dims: Vec<Vec<usize>> = Vec::new();
+            block.visit_params("", &mut |name, p| {
+                if name.ends_with("weight") && p.value.shape().rank() >= 2 {
+                    dims.push(p.value.dims().to_vec());
+                } else {
+                    for v in p.value.data_mut() {
+                        *v = rng.gen::<f32>() - 0.3;
+                    }
+                }
+            });
+            for _ in 0..3 {
+                let x = Tensor::rand_normal(&mut rng, &[2, cin, 6, 6], 0.5, 1.5);
+                block.forward(&x, true);
+            }
+            let values: Vec<Vec<i8>> = dims
+                .iter()
+                .map(|d| {
+                    let n: usize = d.iter().product();
+                    (0..n).map(|i| ((i * 37 + 5) % 255) as i8).collect()
+                })
+                .collect();
+            let views: Vec<QuantView<'_>> = values
+                .iter()
+                .zip(&dims)
+                .map(|(v, d)| QuantView::new(v, 0.01, d))
+                .collect();
+            let x = Tensor::rand_normal(&mut rng, &[2, cin, 6, 6], 0.0, 1.0);
+
+            let fast = forward_quantized_with(&mut block, &x, &views);
+            let mut cursor = QuantCursor::new(&views);
+            let main = block.main.forward_quantized(&x, &mut cursor);
+            let short = match &mut block.shortcut {
+                Some(s) => s.forward_quantized(&x, &mut cursor),
+                None => x.clone(),
+            };
+            let eval = block.relu.forward(&main.add(&short), false);
+            assert_eq!(fast.dims(), eval.dims());
+            assert_eq!(bits(&fast), bits(&eval), "{cin}->{cout} stride {stride}");
+        }
     }
 
     #[test]

@@ -70,8 +70,13 @@ impl Layer for Sequential {
     }
 
     fn forward_quantized(&mut self, input: &Tensor, weights: &mut QuantCursor<'_>) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        // The first layer reads `input` itself, so no activation is copied on entry.
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward_quantized(input, weights);
+        for layer in layers {
             x = layer.forward_quantized(&x, weights);
         }
         x

@@ -116,10 +116,16 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
 /// so `im2col_i8(quantize(x)) == quantize(im2col(x))` element-for-element whenever
 /// the same scale is used.
 ///
-/// The unfold has no per-element bounds test. For each `(channel, kh, kw)` the range
-/// of output columns that read inside the input row is computed once; rows that fall
-/// entirely in the padding are skipped (the output starts zeroed). At stride 1 each
-/// in-range run is one `copy_from_slice`; at larger strides it is a strided gather.
+/// The unfold has no per-element bounds test. For a stride-1 "same" convolution
+/// (output plane as large as the input plane, e.g. 3×3 at padding 1) each
+/// `(channel, kh, kw)` row of an image is the input plane shifted by
+/// `(kh − pad)·w + (kw − pad)` elements: one `copy_from_slice` moves the whole
+/// in-range band of output rows, and only the `|kw − pad|` columns per row that
+/// wrapped around from the neighbouring input row are zeroed again. Every other
+/// geometry computes, per `(channel, kh, kw)`, the range of output columns that
+/// read inside the input row once; rows that fall entirely in the padding are
+/// skipped (the output starts zeroed), and each in-range run is one
+/// `copy_from_slice` at stride 1 or a strided gather otherwise.
 ///
 /// # Example
 ///
@@ -158,6 +164,10 @@ pub fn im2col_i8(
         return out;
     }
 
+    if stride == 1 && (h_out, w_out) == (h, w) {
+        im2col_same_planes(data, &mut out, c, h, w, geom);
+        return out;
+    }
     // Output columns `ow` in `[lo, hi)` read input column `ow·stride + kw − pad`
     // inside `[0, w)`; the rest read padding, which the zeroed output already holds.
     let ow_range = |kw: usize| {
@@ -200,6 +210,67 @@ pub fn im2col_i8(
         }
     }
     out
+}
+
+/// The stride-1 "same" case of [`im2col_i8`]: output pixel `i = oh·w + ow` of row
+/// `(ci, kh, kw)` reads input pixel `i + dh·w + dw` with `(dh, dw) = (kh − pad,
+/// kw − pad)`, so each row is one shifted slice of the input plane. The slice
+/// covers the output rows whose input row exists, clipped to the plane's ends; the
+/// columns it wrapped in from the neighbouring input row (`ow + dw` outside
+/// `[0, w)`) are zeroed afterwards. `out` must arrive zeroed.
+fn im2col_same_planes(
+    data: &[i8],
+    out: &mut [i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: &Conv2dGeometry,
+) {
+    let (kh_n, kw_n, pad) = (geom.kernel_h, geom.kernel_w, geom.padding);
+    let plane_len = h * w;
+    let cols = out.len() / (c * kh_n * kw_n);
+    for (ni, image) in data.chunks_exact(c * plane_len).enumerate() {
+        for (ci, plane) in image.chunks_exact(plane_len).enumerate() {
+            for kh in 0..kh_n {
+                // Output rows `[oh_lo, oh_hi)` read input rows `oh + kh − pad` in `[0, h)`.
+                let oh_lo = pad.saturating_sub(kh).min(h);
+                let oh_hi = (h + pad).saturating_sub(kh).clamp(oh_lo, h);
+                for kw in 0..kw_n {
+                    // A shift of a whole row or more leaves only padding.
+                    if oh_lo == oh_hi || kw.abs_diff(pad) >= w {
+                        continue;
+                    }
+                    let row = (ci * kh_n + kh) * kw_n + kw;
+                    let dst = &mut out[row * cols + ni * plane_len..][..plane_len];
+                    // `dst[i] = plane[i + shift]` with `shift = (kh − pad)·w + kw − pad`,
+                    // written as `i + shift_pos − shift_neg` to stay in `usize`.
+                    let shift_pos = kh * w + kw;
+                    let shift_neg = pad * w + pad;
+                    let lo = (oh_lo * w).max(shift_neg.saturating_sub(shift_pos));
+                    let hi = (oh_hi * w).min((plane_len + shift_neg).saturating_sub(shift_pos));
+                    if lo < hi {
+                        dst[lo..hi].copy_from_slice(
+                            &plane[lo + shift_pos - shift_neg..hi + shift_pos - shift_neg],
+                        );
+                    }
+                    // Zero the wrapped columns: the last `kw − pad` of each row when
+                    // the shift is rightward, the first `pad − kw` when leftward. One
+                    // strided store per row and column (a per-row `fill` of one or
+                    // two bytes costs a `memset` call each and was measured slower).
+                    let (c0, c1) = if kw >= pad {
+                        (w - (kw - pad), w)
+                    } else {
+                        (0, pad - kw)
+                    };
+                    for col in c0..c1 {
+                        for v in dst[oh_lo * w + col..oh_hi * w].iter_mut().step_by(w) {
+                            *v = 0;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Folds a `(C*K*K, N*H_out*W_out)` matrix back into an `(N, C, H, W)` tensor, summing

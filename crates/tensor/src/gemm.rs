@@ -170,6 +170,16 @@ pub fn gemm_threads() -> usize {
 ///
 /// An all-zero slice gets scale `1.0` so dequantization stays well defined.
 ///
+/// Both passes vectorize. The range pass folds `|x|` as bit patterns (`to_bits()
+/// & 0x7fff_ffff`): for non-negative floats the bit order is the value order, and a
+/// NaN's bits sort above infinity's, so a NaN anywhere in the slice reaches the
+/// finiteness check instead of being dropped by a float `max`. The conversion pass
+/// rounds and clamps as [`f32::round`] and [`f32::clamp`] do, then reads the
+/// integer out of the mantissa: adding `1.5 · 2²³` to an integer `q` in
+/// `[-127, 127]` is exact and leaves `q` in the low byte of the bits, which is
+/// `q as i8` without the saturating float-to-int conversion that blocks
+/// vectorization.
+///
 /// # Example
 ///
 /// ```
@@ -185,7 +195,7 @@ pub fn gemm_threads() -> usize {
 ///
 /// Panics if any activation is non-finite.
 pub fn quantize_activations(x: &[f32]) -> (Vec<i8>, f32) {
-    let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let max_abs = f32::from_bits(x.iter().fold(0, |m, &v| m.max(v.to_bits() & 0x7fff_ffff)));
     assert!(max_abs.is_finite(), "activations must be finite");
     if max_abs == 0.0 {
         return (vec![0; x.len()], 1.0);
@@ -200,11 +210,20 @@ pub fn quantize_activations(x: &[f32]) -> (Vec<i8>, f32) {
         scale *= 0.5;
     }
     let recip = 1.0 / scale; // exact: scale is a power of two
-    let q = x
-        .iter()
-        .map(|&v| (v * recip).round().clamp(-127.0, 127.0) as i8)
-        .collect();
+    let q = x.iter().map(|&v| round_clamp_i8(v * recip)).collect();
     (q, scale)
+}
+
+/// `v.round().clamp(-127.0, 127.0) as i8` for any non-NaN `v`, without the
+/// saturating float-to-int conversion. The rounded, clamped value `q` is an integer
+/// in `[-127, 127]`; `q + 1.5·2²³` is exact (integers in `[2²³, 2²⁴)` are spaced 1
+/// apart) and its bit pattern is `0x4B40_0000 + q`, whose low byte is `q`'s
+/// two's-complement byte.
+#[inline]
+fn round_clamp_i8(v: f32) -> i8 {
+    const MANTISSA_SHIFT: f32 = 12_582_912.0; // 1.5 · 2²³
+    let q = v.round().clamp(-127.0, 127.0);
+    (q + MANTISSA_SHIFT).to_bits() as u8 as i8
 }
 
 /// `C(m×n) = A(m×k) × B(k×n)` over row-major slices, blocked for cache reuse.
@@ -857,6 +876,63 @@ mod tests {
             assert!(127.0 * scale >= max, "range must cover max abs");
             assert!(127.0 * scale * 0.5 < max || scale <= f32::MIN_POSITIVE * 2.0);
         }
+    }
+
+    #[test]
+    fn round_clamp_i8_equals_the_saturating_cast() {
+        let reference = |v: f32| v.round().clamp(-127.0, 127.0) as i8;
+        let mut values = vec![
+            0.0f32,
+            -0.0,
+            0.499_999_97,
+            -0.499_999_97,
+            127.5,
+            -127.5,
+            126.5,
+            -126.5,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            12_582_912.0,
+            -12_582_912.0,
+        ];
+        // Every half-integer tie and integer across and beyond the clamp range.
+        values.extend((-600i32..=600).map(|k| k as f32 * 0.5));
+        // Bit patterns spread over the whole non-NaN domain.
+        let mut bits = 0x9E37_79B9u32;
+        for _ in 0..200_000 {
+            bits = bits.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let v = f32::from_bits(bits);
+            if !v.is_nan() {
+                values.push(v);
+            }
+        }
+        for v in values {
+            assert_eq!(
+                round_clamp_i8(v),
+                reference(v),
+                "v = {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "activations must be finite")]
+    fn quantize_activations_rejects_nan_anywhere() {
+        // A float `max` fold would drop the NaN and quantize it to 0 at scale 2^-6.
+        quantize_activations(&[1.0, f32::NAN, -2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "activations must be finite")]
+    fn quantize_activations_rejects_infinity() {
+        quantize_activations(&[1.0, f32::NEG_INFINITY, -2.0]);
     }
 
     #[test]

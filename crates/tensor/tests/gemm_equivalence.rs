@@ -21,6 +21,8 @@
 //!   quantize exactly at a power-of-two scale) make the whole integer pipeline
 //!   bit-identical to the float oracle. The general argmax-level agreement is pinned
 //!   in `radar-quant`'s `native_equivalence` tests.
+//! - `quantize_activations`' mantissa-trick conversion equals the saturating
+//!   `as i8` cast on every element, ties and signed zeros included.
 
 use proptest::prelude::*;
 use radar_tensor::{gemm_f32, gemm_i8, gemm_i8_requant, linear_i8_requant, quantize_activations};
@@ -233,6 +235,39 @@ proptest! {
         let native = gemm_i8_requant(&w, &xq, m, k, n, &[a_scale], None, 1);
         let wf: Vec<f32> = w.iter().map(|&q| q as f32).collect();
         prop_assert_eq!(native, naive(&wf, &x, m, k, n));
+    }
+
+    /// `quantize_activations` converts every element exactly as the saturating cast
+    /// `(v / scale).round().clamp(-127, 127) as i8` does. The slice's largest
+    /// magnitude is pinned to `127·2^e`, so the scale is `2^e` and the other
+    /// elements can sit exactly on the hard cases relative to it: `±k.5` ties,
+    /// `±0.49999997`, `±126.5`, signed zeros and subnormals, among uniform values.
+    #[test]
+    fn quantize_activations_equals_the_saturating_cast(
+        e in -20i32..21,
+        picks in prop::collection::vec((0usize..8, any::<bool>(), -127.0f32..127.0), 1..96),
+    ) {
+        let unit = 2.0f32.powi(e);
+        let mut x = vec![127.0 * unit];
+        for &(pick, negative, uniform) in &picks {
+            let v = match pick {
+                0 => (uniform.trunc() + 0.5) * unit,
+                1 => 0.499_999_97 * unit,
+                2 => 126.5 * unit,
+                3 => 0.0,
+                4 => f32::from_bits(1 + uniform.to_bits() % 0x007f_ffff),
+                5 => uniform.trunc() * unit,
+                _ => uniform * unit,
+            };
+            x.push(if negative { -v } else { v });
+        }
+        let (q, scale) = quantize_activations(&x);
+        prop_assert_eq!(scale, unit);
+        let recip = 1.0 / scale;
+        for (i, (&got, &v)) in q.iter().zip(&x).enumerate() {
+            let want = (v * recip).round().clamp(-127.0, 127.0) as i8;
+            prop_assert!(got == want, "element {}: {:e} quantized to {}, cast gives {}", i, v, got, want);
+        }
     }
 }
 

@@ -119,3 +119,31 @@ proptest! {
         }
     }
 }
+
+/// Every stride-1 "same" geometry (`pad = (k − 1) / 2`), where `im2col_i8` copies
+/// whole shifted planes and zeroes the wrapped columns, against the float unfold:
+/// kernels 1/3/5/7 on every input from 1×1 to 8×8, batch 1 and 2. The small sides
+/// cover shifts as wide as, or wider than, the plane itself (`w ≤ |kw − pad|`).
+#[test]
+fn im2col_i8_same_planes_match_float_im2col_on_every_small_geometry() {
+    for kernel in [1usize, 3, 5, 7] {
+        let geom = Conv2dGeometry::new(kernel, kernel, 1, (kernel - 1) / 2);
+        for n in 1usize..=2 {
+            for h in 1usize..9 {
+                for w in 1usize..9 {
+                    let c = 2;
+                    let q: Vec<i8> = (0..n * c * h * w)
+                        .map(|i| ((i * 37 + 11) % 255) as i8)
+                        .collect();
+                    let x =
+                        Tensor::from_vec(q.iter().map(|&v| f32::from(v)).collect(), &[n, c, h, w])
+                            .expect("shape matches");
+                    let float_cols = im2col(&x, &geom);
+                    let int_cols = im2col_i8(&q, n, c, h, w, &geom);
+                    let as_f32: Vec<f32> = int_cols.iter().map(|&v| f32::from(v)).collect();
+                    assert_eq!(as_f32, float_cols.data(), "k{kernel} n{n} {h}x{w}");
+                }
+            }
+        }
+    }
+}
